@@ -81,7 +81,6 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run every check in a scenario file")
     p_check.add_argument("file", help="scenario file")
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
-    p_check.add_argument("--seed", type=int, default=0, help="accepted for interface parity")
     p_check.set_defaults(fn=_cmd_check)
 
     p_self = sub.add_parser("selftest", help="run the built-in verification suite")

@@ -92,10 +92,14 @@ class ENum:
 
 @dataclass(frozen=True)
 class ERef:
-    """A bare name, or an indexed generator reference ``name[i]`` (1-based)."""
+    """A bare name, or an indexed generator reference ``name[i]`` (1-based).
+
+    ``tok`` is the source token of a bare name, kept for error positions.
+    """
 
     name: str
     index: Optional[int] = None
+    tok: Optional["_Tok"] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -434,11 +438,10 @@ class _Parser:
         self.declare(name_tok, _Sym("quotient", nvars))
         self.expect_word("relations")
         self.expect("{")
-        varmap = {name_tok.value: nvars}
-        rels = [self.polynomial(varmap, nvars)]
+        rels = [self.polynomial({}, nvars, family=name_tok.value)]
         while self.peek().type == ",":
             self.advance()
-            rels.append(self.polynomial(varmap, nvars))
+            rels.append(self.polynomial({}, nvars, family=name_tok.value))
         self.expect("}")
         return QuotientDecl(name_tok.value, nvars, degcap, tuple(rels), line=line)
 
@@ -826,11 +829,9 @@ class _Parser:
                 if not 1 <= index <= sym.a:
                     self.fail(f"an index in 1..{sym.a}", itok)
                 return ERef(t.value, index)
-            if env is not None:
-                if t.value not in env:
-                    self.fail("a declared parameter name", t)
-                return ERef(t.value)
-            return ERef(t.value)
+            if env is not None and t.value not in env:
+                self.fail("a declared parameter name", t)
+            return ERef(t.value, tok=t)
         self.fail("an expression")
 
     # expression typing: returns dimension for vectors, 0 for scalars
@@ -886,10 +887,12 @@ class _Parser:
 
     # polynomial folding (quotient relations, connection entries)
 
-    def polynomial(self, varmap: dict, nvars: int, homogeneous: bool = True):
+    def polynomial(self, varmap: dict, nvars: int, homogeneous: bool = True, family=None):
+        """Fold an expression into a polynomial over ``nvars`` variables: the
+        bare names of ``varmap``, or the indexed generators ``family[i]``."""
         start = self.peek()
         expr = self.expr(env=None, calls=False)
-        poly = self._to_poly(expr, varmap, nvars, start)
+        poly = self._to_poly(expr, varmap, nvars, start, family)
         if poly.is_zero():
             self.fail("a nonzero polynomial", start)
         if homogeneous:
@@ -900,24 +903,26 @@ class _Parser:
                 self.fail("a relation of degree >= 2", start)
         return tuple(sorted(poly.terms.items()))
 
-    def _to_poly(self, node, varmap, nvars, tok) -> Poly:
+    def _to_poly(self, node, varmap, nvars, tok, family) -> Poly:
         if isinstance(node, ENum):
             return Poly.constant(nvars, node.value)
         if isinstance(node, ERef):
             if node.index is not None:
-                if node.name not in varmap:
+                if node.name != family:
                     self.fail("this declaration's own generators", tok)
                 return Poly.variable(nvars, node.index - 1)
             if node.name in varmap:
                 return Poly.variable(nvars, varmap[node.name])
+            if family is not None:
+                self.fail(f"an indexed generator like {family}[1]", node.tok)
             self.fail("a polynomial in the declared variables", tok)
         if isinstance(node, ENeg):
-            return -self._to_poly(node.operand, varmap, nvars, tok)
+            return -self._to_poly(node.operand, varmap, nvars, tok, family)
         if isinstance(node, EPow):
-            return self._to_poly(node.base, varmap, nvars, tok) ** node.exponent
+            return self._to_poly(node.base, varmap, nvars, tok, family) ** node.exponent
         if isinstance(node, EBin):
-            left = self._to_poly(node.left, varmap, nvars, tok)
-            right = self._to_poly(node.right, varmap, nvars, tok)
+            left = self._to_poly(node.left, varmap, nvars, tok, family)
+            right = self._to_poly(node.right, varmap, nvars, tok, family)
             if node.op == "+":
                 return left + right
             if node.op == "-":

@@ -107,7 +107,7 @@ def weighted_point_sum(weights: AffineWeights, points: Sequence[PointVec]) -> Po
     return acc
 
 
-def _difference_witness(A: PointVec, B: PointVec, location: str) -> Optional[Witness]:
+def difference_witness(A: PointVec, B: PointVec, location: str) -> Optional[Witness]:
     """Witness for A != B: the first coordinate where they differ."""
     for i, (a, b) in enumerate(zip(A, B)):
         d = a - b
@@ -347,18 +347,11 @@ class RetractPair:
         """r(iota(P)): the chart-side normalization (identity when r∘iota = id)."""
         return self.retract(self.embed(P))
 
-    def polynomial_idempotent(self) -> Optional[PolyMap]:
-        from .polymap import compose
-
-        if isinstance(self.iota, PolyMap) and isinstance(self.retraction, PolyMap):
-            return compose(self.iota, self.retraction)
-        return None
-
 
 def _retract_membership_violation(rp: RetractPair, points) -> Optional[Witness]:
     imgs = [rp.embed(P) for P in points]
     for j, img in enumerate(imgs):
-        w = _difference_witness(
+        w = difference_witness(
             rp.idempotent_eval(img), img, f"e(iota(P{j + 1})) - iota(P{j + 1})"
         )
         if w is not None:
@@ -502,14 +495,14 @@ def check_axioms(
                 for j in range(len(points))
             ]
             direct = handle.combine(AffineWeights(tuple(flat)), points, check=False)
-            return _difference_witness(nested, direct, "nested - flattened combine")
+            return difference_witness(nested, direct, "nested - flattened combine")
 
         report.run(f"{name_prefix}/associativity", "associativity", associativity)
 
     def projection():
         for j in range(len(points)):
             got = handle.combine(basis_weights(len(points), j), points, check=False)
-            w = _difference_witness(got, points[j], f"combine(e_{j + 1}) - P{j + 1}")
+            w = difference_witness(got, points[j], f"combine(e_{j + 1}) - P{j + 1}")
             if w is not None:
                 return w
         return None
@@ -554,21 +547,21 @@ def induced_connection_check(
     report.run(
         f"{name_prefix}/left-identity",
         "identity",
-        lambda: _difference_witness(
+        lambda: difference_witness(
             handle.combine(w, [P, Q, P]), Q, "combine(-1,1,1)(P,Q,P) - Q"
         ),
     )
     report.run(
         f"{name_prefix}/right-identity",
         "identity",
-        lambda: _difference_witness(
+        lambda: difference_witness(
             handle.combine(w, [P, P, S]), S, "combine(-1,1,1)(P,P,S) - S"
         ),
     )
     report.run(
         f"{name_prefix}/exchange-symmetry",
         "symmetry",
-        lambda: _difference_witness(
+        lambda: difference_witness(
             handle.combine(w, [P, Q, S]),
             handle.combine(w, [P, S, Q]),
             "combine(P,Q,S) - combine(P,S,Q)",
@@ -578,7 +571,7 @@ def induced_connection_check(
         report.run(
             f"{name_prefix}/parallelogram-consistency",
             "consistency",
-            lambda: _difference_witness(
+            lambda: difference_witness(
                 handle.combine(w, [P, Q, S]),
                 connection_apply(handle.connection, P, Q, S, check=False),
                 "combine - parallelogram",
@@ -611,7 +604,7 @@ def check_pullback_lemma(
         report.run(
             f"{name_prefix}/transport[{idx + 1}]",
             "transport",
-            lambda w=w: _difference_witness(
+            lambda w=w: difference_witness(
                 eval_map(iota, _combine_with_bilinear(Gt, w, points)),
                 _combine_with_bilinear(G, w, imgs),
                 "iota(combine~) - combine(iota)",

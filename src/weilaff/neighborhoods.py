@@ -351,48 +351,14 @@ def generic_Ak_tuple(n: int, k: int, m: int, base=None, name: str = "u"):
 def generic_nilsquare_tuple(n: int, m: int, base=None, degree_cap=None, name: str = "u"):
     """Freest m-tuple with all pairwise differences nil-square.
 
-    Quotient model: generators u[j,a] (j = 2..m, a = 1..n) with the symmetric
-    degree-2 relations u[i,a]u[i,b] = 0 and u[i,a]u[j,b] + u[j,a]u[i,b] = 0;
-    these are exactly the conditions forcing every pairwise difference into
-    D_1 while leaving all antisymmetric products alive.  The degree cap
-    defaults to m, deep enough to expose the order-(m-1) products the nil-
-    square Remark is about.
+    This is the symmetric-only model at k = 1: generators u[j,a] (j = 2..m,
+    a = 1..n) with the symmetric degree-2 relations u[i,a]u[i,b] = 0 and
+    u[i,a]u[j,b] + u[j,a]u[i,b] = 0; these are exactly the conditions forcing
+    every pairwise difference into D_1 while leaving all antisymmetric
+    products alive.  The degree cap defaults to m, deep enough to expose the
+    order-(m-1) products the nil-square Remark is about.
     """
-    if m < 2:
-        raise WeilError("a nil-square tuple needs at least two points")
-    if degree_cap is None:
-        degree_cap = m
-    ngens = n * (m - 1)
-    names = [f"{name}{j + 2}_{a + 1}" for j in range(m - 1) for a in range(n)]
-
-    def gi(j: int, a: int) -> int:  # j in 0..m-2 (point j+2), a in 0..n-1
-        return j * n + a
-
-    def mono(pairs) -> Monomial:
-        exps = [0] * ngens
-        for idx in pairs:
-            exps[idx] += 1
-        return tuple(exps)
-
-    relations = []
-    for i in range(m - 1):
-        for j in range(i, m - 1):
-            for a in range(n):
-                for b in range(a if i == j else 0, n):
-                    if i == j:
-                        relations.append({mono([gi(i, a), gi(i, b)]): Fraction(1)})
-                    else:
-                        rel = {}
-                        for key in (mono([gi(i, a), gi(j, b)]), mono([gi(j, a), gi(i, b)])):
-                            rel[key] = rel.get(key, 0) + Fraction(1)
-                        relations.append(rel)
-    ctx = make_quotient_context(names, relations, degree_cap)
-    base = _lift_base(base, n)
-    pts = [ctx.point(base)]
-    for j in range(m - 1):
-        coords = [ctx.scalar(base[a]) + ctx.gen(gi(j, a)) for a in range(n)]
-        pts.append(PointVec(ctx, tuple(coords)))
-    return ctx, pts
+    return generic_symmetric_Ak_tuple(n, 1, m, base, m if degree_cap is None else degree_cap, name)
 
 
 def generic_symmetric_Ak_tuple(

@@ -1,24 +1,23 @@
 """Execute parsed scenarios: build the ambient algebra, then run the checks.
 
 All block/quotient declarations of a file merge into a single ambient context
-so points from different declarations can be mixed freely.  Blocks-only files
-use the fast truncated kernel; as soon as one quotient appears, everything is
-lowered into one quotient context (block caps become monomial relations).
+so points from different declarations can be mixed freely.  Each declaration
+is one block of that context with its own cap (a quotient's ``degcap``), and
+each quotient's relations are lifted onto its own generators, so they reduce
+over the monomials the block caps leave alive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .weil import (
     PointVec,
     WeilContext,
     WeilElement,
     WeilError,
-    make_quotient_context,
     make_truncated_context,
-    monomials_of_degree,
     sqrt,
 )
 from .polymap import Poly, PolyMap, Expr, ExprMap, eval_map, expr_to_poly
@@ -36,12 +35,12 @@ from .iaffine import (
     ConnectionAction,
     RetractAction,
     RetractPair,
-    _difference_witness,
     check_axioms,
     check_idempotent_identities,
     check_pullback_lemma,
     connection_apply,
     connection_combine,
+    difference_witness,
 )
 from .report import CheckReport
 from . import dsl
@@ -64,45 +63,24 @@ class ScenarioEnv:
         self.retracts: dict = {}
 
 
-def _decl_names(name: str, count: int) -> list:
-    if count == 1:
-        return [name]
-    return [f"{name}{i}" for i in range(1, count + 1)]
-
-
 def _build_context(decls) -> tuple:
     """Returns (context, offsets) from the block/quotient declarations."""
+    total = sum(d.nvars for d in decls)
     offsets = {}
+    blocks = []
+    relations = []
     start = 0
     for d in decls:
         offsets[d.name] = (start, d.nvars)
-        start += d.nvars
-    total = start
-    if all(isinstance(d, dsl.BlockDecl) for d in decls):
-        ctx = make_truncated_context([(d.name, d.nvars, d.cap) for d in decls])
-        return ctx, offsets
-    names = []
-    relations = []
-    cap = 0
-    for d in decls:
-        names.extend(_decl_names(d.name, d.nvars))
-        off = offsets[d.name][0]
-        local_cap = d.cap if isinstance(d, dsl.BlockDecl) else d.degcap
-        cap += local_cap
-        # declaration-local truncation: internal monomials one past the cap die
-        for mono in monomials_of_degree(d.nvars, local_cap + 1):
-            lifted = [0] * total
-            lifted[off:off + d.nvars] = mono
-            relations.append({tuple(lifted): Fraction(1)})
-        if isinstance(d, dsl.QuotientDecl):
+        if isinstance(d, dsl.BlockDecl):
+            blocks.append((d.name, d.nvars, d.cap))
+        else:
+            blocks.append((d.name, d.nvars, d.degcap))
+            pad_left, pad_right = (0,) * start, (0,) * (total - start - d.nvars)
             for poly in d.relations:
-                rel = {}
-                for mono, coeff in poly:
-                    lifted = [0] * total
-                    lifted[off:off + d.nvars] = mono
-                    rel[tuple(lifted)] = coeff
-                relations.append(rel)
-    return make_quotient_context(names, relations, cap), offsets
+                relations.append({pad_left + tuple(m) + pad_right: c for m, c in poly})
+        start += d.nvars
+    return make_truncated_context(blocks, relations), offsets
 
 
 def _eval_node(node, env: ScenarioEnv, ctx: WeilContext) -> Value:
@@ -263,7 +241,7 @@ def _run_check(check: dsl.CheckDecl, env: ScenarioEnv, report: CheckReport) -> N
         report.run(
             name,
             check.kind,
-            lambda: _difference_witness(
+            lambda: difference_witness(
                 connection_apply(c, P, Q, S),
                 connection_combine(c, (Fraction(-1), Fraction(1), Fraction(1)), [P, Q, S]),
                 "apply - combine",

@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import dsl
 from .iaffine import (
@@ -30,6 +30,7 @@ from .iaffine import (
     check_pullback_lemma,
     connection_apply,
     connection_combine,
+    difference_witness,
 )
 from .neighborhoods import (
     Witness,
@@ -50,7 +51,12 @@ from .neighborhoods import (
 )
 from .polymap import Add, Div, ExprMap, Mul, Poly, PolyMap, Sqrt, Var, derivative_tensor, eval_map
 from .report import CheckReport
-from .weil import PointVec, make_truncated_context
+from .weil import (
+    PointVec,
+    SingularMatrixError,
+    _rational_matrix_inverse,
+    make_truncated_context,
+)
 
 
 # -- seeded generators ---------------------------------------------------------------
@@ -102,15 +108,6 @@ def random_connection(rng: random.Random, n: int, degree: int = 2) -> Connection
 
 def random_index_map(rng: random.Random, m_out: int, m_in: int) -> Tuple[int, ...]:
     return tuple(rng.randrange(m_in) for _ in range(m_out))
-
-
-def _mismatch(A: PointVec, B: PointVec, location: str) -> Optional[Witness]:
-    for i, (a, b) in enumerate(zip(A, B)):
-        d = a - b
-        if not d.is_zero():
-            mono, coeff = d.leading_witness()
-            return Witness(f"{location}[{i + 1}]", mono, coeff)
-    return None
 
 
 # -- criterion 1: every polynomial map preserves k-th order i-tuples -----------------
@@ -181,7 +178,7 @@ def crit_connection_equiv(report: CheckReport, grid: str, seed: int) -> None:
             S = PointVec(ctx, tuple(ctx.scalar(base[a]) + ctx.gen(n + a) for a in range(n)))
             for _ in range(ngam):
                 c = random_connection(rng, n)
-                w = _mismatch(
+                w = difference_witness(
                     connection_apply(c, P, Q, S),
                     connection_combine(c, lam, [P, Q, S]),
                     "apply - combine",
@@ -218,12 +215,11 @@ def crit_connection_assoc(report: CheckReport, grid: str, seed: int) -> None:
 def _invertible_linear(rng: random.Random, n: int) -> List[List[int]]:
     while True:
         L = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if n == 1:
-            det = L[0][0]
-        else:
-            det = L[0][0] * L[1][1] - L[0][1] * L[1][0]
-        if det:
-            return L
+        try:
+            _rational_matrix_inverse([[Fraction(v) for v in row] for row in L])
+        except SingularMatrixError:
+            continue
+        return L
 
 
 def crit_pullback(report: CheckReport, grid: str, seed: int) -> None:

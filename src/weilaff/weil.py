@@ -1,15 +1,19 @@
-"""Exact arithmetic in finitely generated nilpotent algebras over Q.
+"""Exact arithmetic in Weil algebras: finitely generated nilpotent algebras over Q.
 
-A :class:`WeilContext` fixes a finite set of nilpotent generators together
-with the rule deciding which coefficient combinations vanish.  Two flavours:
+A :class:`WeilContext` fixes a finite set of nilpotent generators and the
+ideal that decides which coefficient combinations vanish.  The generators
+come in blocks, each with a degree cap: a monomial dies as soon as its
+exponent sum within one block exceeds that block's cap, so the caps generate
+a monomial ideal and the total degree never exceeds the sum of the caps.
+Cross-block degrees are only limited by the per-block caps, so ``eps1*delta1``
+survives caps (1, 1).  On top of the caps a context may carry homogeneous
+polynomial relations; each graded component is then reduced modulo the span
+of ``relation * monomial`` over the monomials the caps leave alive, via a
+cached reduced row echelon basis.
 
-* ``truncated`` -- generators come in named blocks, each with a degree cap;
-  a monomial dies as soon as its exponent sum within a single block exceeds
-  that block's cap.  Cross-block degrees are only limited by the per-block
-  caps, so ``eps1*delta1`` survives caps (1, 1).
-* ``quotient`` -- generators satisfy homogeneous polynomial relations and a
-  hard total-degree cap; each graded component is reduced modulo the span of
-  ``relation * monomial`` via a cached reduced row echelon basis.
+:func:`make_truncated_context` builds the general case from blocks (plus
+optional relations); :func:`make_quotient_context` is one block covering
+every generator with the given total-degree cap.
 
 Elements are immutable sparse polynomials over ``fractions.Fraction`` kept in
 canonical normal form, so ``==`` on elements is equality in the algebra.
@@ -70,7 +74,7 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterable[Monomial]:
 
 
 class Block:
-    """A named run of generators sharing one degree cap."""
+    """A run of generators sharing one degree cap."""
 
     __slots__ = ("name", "start", "count", "cap")
 
@@ -80,9 +84,6 @@ class Block:
         self.count = count
         self.cap = cap
 
-    def key(self):
-        return (self.name, self.start, self.count, self.cap)
-
 
 class WeilContext:
     """Shared generator/vanishing data for a family of elements.
@@ -91,16 +92,25 @@ class WeilContext:
     :func:`make_quotient_context`.
     """
 
-    __slots__ = ("kind", "names", "blocks", "relations", "degree_cap", "_sig", "_bases")
+    __slots__ = ("names", "blocks", "relations", "degree_cap", "_binding", "_sig", "_bases")
 
-    def __init__(self, kind, names, blocks, relations, degree_cap, sig):
-        self.kind = kind
+    def __init__(self, names: tuple, blocks: tuple, relations: tuple):
         self.names = names
         self.blocks = blocks
         self.relations = relations
-        self.degree_cap = degree_cap
-        self._sig = sig
-        # per-degree RREF bases for quotient reduction; populated lazily and
+        self.degree_cap = sum(b.cap for b in blocks)
+        # a block cap at the total cap kills nothing the total cap keeps, so
+        # only the lower ones are ever tested
+        self._binding = tuple(
+            (b.start, b.start + b.count, b.cap) for b in blocks if b.cap < self.degree_cap
+        )
+        # block names only label generators, which ``names`` already records
+        self._sig = (
+            names,
+            tuple((b.start, b.count, b.cap) for b in blocks),
+            tuple(tuple(r.items()) for r in relations),
+        )
+        # per-degree RREF bases for relation reduction; populated lazily and
         # idempotently (recomputation yields the identical basis, so a race
         # merely duplicates work)
         self._bases = {}
@@ -114,7 +124,10 @@ class WeilContext:
         return hash(self._sig)
 
     def __repr__(self):
-        return f"<WeilContext {self.kind} gens={self.ngens} cap={self.max_degree}>"
+        return (
+            f"<WeilContext gens={self.ngens} cap={self.max_degree} "
+            f"relations={len(self.relations)}>"
+        )
 
     @property
     def ngens(self) -> int:
@@ -166,31 +179,21 @@ class WeilContext:
     # -- normal form --------------------------------------------------------
 
     def monomial_is_zero(self, mono: Monomial) -> bool:
-        """Truncation test by degree caps alone (exact for truncated contexts)."""
+        """True when the degree caps alone kill ``mono`` (relations aside)."""
         if sum(mono) > self.degree_cap:
             return True
-        if self.kind == "truncated":
-            for b in self.blocks:
-                if sum(mono[b.start : b.start + b.count]) > b.cap:
-                    return True
-        return False
+        return any(sum(mono[lo:hi]) > cap for lo, hi, cap in self._binding)
 
     def normalize(self, raw: Mapping[Monomial, Fraction]) -> dict:
-        if self.kind == "truncated":
-            return {m: c for m, c in raw.items() if c and not self.monomial_is_zero(m)}
+        kept = {m: c for m, c in raw.items() if c and not self.monomial_is_zero(m)}
+        if not self.relations:
+            return kept
         by_degree = {}
-        for m, c in raw.items():
-            if not c:
-                continue
-            d = sum(m)
-            if d > self.degree_cap:
-                continue
-            by_degree.setdefault(d, {})[m] = c
+        for m, c in kept.items():
+            by_degree.setdefault(sum(m), {})[m] = c
         out = {}
         for d, vec in by_degree.items():
-            if d and self.relations:
-                vec = self._reduce_at_degree(d, vec)
-            out.update(vec)
+            out.update(self._reduce_at_degree(d, vec) if d else vec)
         return out
 
     def _reduce_at_degree(self, degree: int, vec: dict) -> dict:
@@ -208,19 +211,30 @@ class WeilContext:
         return vec
 
     def _degree_basis(self, degree: int):
-        """RREF basis of span{relation * monomial} in the given graded slot."""
+        """RREF basis of span{relation * monomial} in the given graded slot,
+        restricted to the monomials the block caps leave alive.
+
+        The caps generate a monomial ideal M, and the leading monomials of
+        ``J_d + M_d`` are ``M_d`` together with those of J_d projected off
+        M_d, so this basis reduces exactly as one that listed the caps as
+        monomial relations would."""
         basis = self._bases.get(degree)
         if basis is not None:
             return basis
+        capped = self.monomial_is_zero if self._binding else None
         rows = []
         for rel in self.relations:
             rel_deg = sum(next(iter(rel)))  # relations are homogeneous
             if rel_deg > degree:
                 continue
             for shift in monomials_of_degree(self.ngens, degree - rel_deg):
+                if capped and capped(shift):  # so is every multiple of it
+                    continue
                 row = {}
                 for m, c in rel.items():
                     key = tuple(a + b for a, b in zip(m, shift))
+                    if capped and capped(key):
+                        continue
                     row[key] = row.get(key, 0) + c
                 rows.append({m: c for m, c in row.items() if c})
         basis = []  # list of (pivot, row) with row[pivot] == 1, mutually reduced
@@ -270,8 +284,35 @@ class WeilContext:
         return "·".join(parts) if parts else "1"
 
 
-def make_truncated_context(blocks: Sequence) -> WeilContext:
-    """Build a block-truncated context from ``(name, count, cap)`` triples.
+def _clean_relations(relations, ngens: int) -> tuple:
+    """Canonical homogeneous relations: merged, zero-free, sorted by monomial."""
+    cleaned = []
+    for rel in relations:
+        terms = {}
+        for m, c in rel.items():
+            m = tuple(m)
+            if len(m) != ngens:
+                raise WeilError("relation monomial arity does not match generators")
+            c = _as_fraction(c)
+            if c:
+                terms[m] = terms.get(m, 0) + c
+        terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            continue
+        degs = {sum(m) for m in terms}
+        if len(degs) != 1:
+            raise WeilError("relations must be homogeneous")
+        if degs == {0}:
+            raise WeilError("a nonzero constant relation collapses the algebra")
+        cleaned.append(dict(sorted(terms.items())))
+    return tuple(cleaned)
+
+
+def make_truncated_context(
+    blocks: Sequence, relations: Sequence[Mapping[Monomial, Scalar]] = ()
+) -> WeilContext:
+    """Build a context from ``(name, count, cap)`` block triples, optionally
+    quotiented by homogeneous relations over all the generators.
 
     A block of count 1 yields a generator named exactly ``name``; larger
     blocks number their generators ``name1, name2, ...``.
@@ -294,9 +335,7 @@ def make_truncated_context(blocks: Sequence) -> WeilContext:
             names.extend(f"{name}{i}" for i in range(1, count + 1))
         built.append(Block(name, start, count, cap))
         start += count
-    degree_cap = sum(b.cap for b in built if b.count)
-    sig = ("truncated", tuple(b.key() for b in built))
-    return WeilContext("truncated", tuple(names), tuple(built), (), degree_cap, sig)
+    return WeilContext(tuple(names), tuple(built), _clean_relations(relations, start))
 
 
 def make_quotient_context(
@@ -304,42 +343,18 @@ def make_quotient_context(
     relations: Sequence[Mapping[Monomial, Scalar]],
     degree_cap: int,
 ) -> WeilContext:
-    """Build a quotient context from homogeneous relations and a total-degree cap.
+    """Build a context from homogeneous relations and a total-degree cap:
+    one block, capped at ``degree_cap``, covering every generator.
 
     Every generator must be nilpotent under the relations + cap; this is not
     re-verified here, but generators carry no constant term so any element's
     non-constant part dies at degree ``degree_cap + 1`` regardless.
     """
     names = tuple(names)
-    n = len(names)
     if degree_cap < 0:
         raise WeilError("degree cap must be nonnegative")
-    cleaned = []
-    for rel in relations:
-        terms = {}
-        for m, c in rel.items():
-            m = tuple(m)
-            if len(m) != n:
-                raise WeilError("relation monomial arity does not match generators")
-            c = _as_fraction(c)
-            if c:
-                terms[m] = terms.get(m, 0) + c
-        terms = {m: c for m, c in terms.items() if c}
-        if not terms:
-            continue
-        degs = {sum(m) for m in terms}
-        if len(degs) != 1:
-            raise WeilError("relations must be homogeneous")
-        if degs == {0}:
-            raise WeilError("a nonzero constant relation collapses the algebra")
-        cleaned.append(dict(sorted(terms.items())))
-    sig = (
-        "quotient",
-        names,
-        tuple(tuple(sorted(r.items())) for r in cleaned),
-        degree_cap,
-    )
-    return WeilContext("quotient", names, (), tuple(cleaned), degree_cap, sig)
+    block = Block("", 0, len(names), degree_cap)
+    return WeilContext(names, (block,), _clean_relations(relations, len(names)))
 
 
 class WeilElement:
@@ -431,6 +446,7 @@ class WeilElement:
             return NotImplemented
         ctx = self.context
         cap = ctx.degree_cap
+        binding = ctx._binding
         out = {}
         for m1, c1 in self.coeffs.items():
             d1 = sum(m1)
@@ -438,16 +454,15 @@ class WeilElement:
                 if d1 + sum(m2) > cap:
                     continue
                 key = tuple(a + b for a, b in zip(m1, m2))
-                if ctx.kind == "truncated" and ctx.monomial_is_zero(key):
+                if binding and ctx.monomial_is_zero(key):
                     continue
                 nc = out.get(key, 0) + c1 * c2
                 if nc:
                     out[key] = nc
                 else:
                     del out[key]
-        if ctx.kind == "truncated":
-            return WeilElement(ctx, out, _normalized=True)
-        return WeilElement(ctx, out)
+        # the loop already applied every cap; only relations remain
+        return WeilElement(ctx, out, _normalized=not ctx.relations)
 
     __rmul__ = __mul__
 
@@ -509,29 +524,6 @@ class WeilElement:
 
     def __repr__(self):
         return f"WeilElement({self})"
-
-
-# -- ring_ops surface ------------------------------------------------------------
-
-
-def add(x: WeilElement, y: WeilElement) -> WeilElement:
-    return x + y
-
-
-def neg(x: WeilElement) -> WeilElement:
-    return -x
-
-
-def scalar_mul(q: Scalar, x: WeilElement) -> WeilElement:
-    return x * _as_fraction(q)
-
-
-def mul(x: WeilElement, y: WeilElement) -> WeilElement:
-    return x * y
-
-
-def power(x: WeilElement, e: int) -> WeilElement:
-    return x**e
 
 
 def invert(x: WeilElement) -> WeilElement:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 Mono = Tuple[int, ...]
 Dense = Dict[Mono, Fraction]
@@ -67,24 +67,12 @@ def rref(rows: List[List[Fraction]]) -> List[List[Fraction]]:
             for i in range(nrows):
                 if i != r and rows[i][lead]:
                     f = rows[i][lead]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
             lead += 1
             break
         else:
             break
     return [r for r in rows if any(r)]
-
-
-def in_span(vector: Sequence[Fraction], rows: List[List[Fraction]]) -> bool:
-    """Is ``vector`` a rational combination of ``rows``?  (Dense elimination.)"""
-    basis = rref(rows)
-    v = list(vector)
-    for row in basis:
-        lead = next(i for i, x in enumerate(row) if x)
-        if v[lead]:
-            f = v[lead]
-            v = [x - f * y for x, y in zip(v, row)]
-    return not any(v)
 
 
 def ideal_rows(
@@ -109,6 +97,31 @@ def ideal_rows(
     return monos, rows
 
 
+def ideal_membership(
+    relations: Sequence[Mapping[Mono, Fraction]], ngens: int, cap: int
+) -> Callable[[Mapping[Mono, Fraction]], bool]:
+    """Membership test for the homogeneous ideal, degree by degree up to ``cap``.
+
+    The elimination runs once; each query reduces one dense vector against
+    the resulting basis, so many monomials can be tested cheaply."""
+    monos, rows = ideal_rows(relations, ngens, cap)
+    index = {m: i for i, m in enumerate(monos)}
+    basis = [(next(i for i, x in enumerate(row) if x), row) for row in rref(rows)]
+
+    def member(element: Mapping[Mono, Fraction]) -> bool:
+        v = [Fraction(0)] * len(monos)
+        for m, c in element.items():
+            if sum(m) <= cap:
+                v[index[m]] = c
+        for lead, row in basis:
+            if v[lead]:
+                f = v[lead]
+                v = [x - f * y for x, y in zip(v, row)]
+        return not any(v)
+
+    return member
+
+
 def reduces_to_zero(
     element: Mapping[Mono, Fraction],
     relations: Sequence[Mapping[Mono, Fraction]],
@@ -116,15 +129,48 @@ def reduces_to_zero(
     cap: int,
 ) -> bool:
     """Membership of ``element`` in the homogeneous ideal, degree by degree."""
-    monos, rows = ideal_rows(relations, ngens, cap)
-    index = {m: i for i, m in enumerate(monos)}
-    vec = [Fraction(0)] * len(monos)
-    for m, c in element.items():
-        if sum(m) <= cap:
-            vec[index[m]] = c
-    if not rows:
-        return not any(vec)
-    return in_span(vec, rows)
+    return ideal_membership(relations, ngens, cap)(element)
+
+
+def nilsquare_relations(n: int, m: int, ngens: int = 0, offset: int = 0) -> List[Dense]:
+    """The nil-square model's relations, listed explicitly: for points
+    i <= j in 2..m and coordinates a, b, the monomial u[i,a]u[i,b] and the
+    binomial u[i,a]u[j,b] + u[j,a]u[i,b] (duplicates kept).  Generator
+    u[j,a] sits at ``offset + (j-2)*n + (a-1)`` of ``ngens`` (default n*(m-1))."""
+    ngens = ngens or n * (m - 1)
+
+    def mono(*idx: int) -> Mono:
+        exps = [0] * ngens
+        for i in idx:
+            exps[offset + i] += 1
+        return tuple(exps)
+
+    rels = []
+    for i in range(m - 1):
+        for j in range(i, m - 1):
+            for a in range(n):
+                for b in range(a if i == j else 0, n):
+                    if i == j:
+                        rels.append({mono(i * n + a, i * n + b): Fraction(1)})
+                    else:
+                        rel: Dense = {}
+                        for key in (mono(i * n + a, j * n + b), mono(j * n + a, i * n + b)):
+                            rel[key] = rel.get(key, Fraction(0)) + 1
+                        rels.append(rel)
+    return rels
+
+
+def cap_relations(blocks: Sequence[Tuple[int, int, int]], ngens: int) -> List[Dense]:
+    """Block caps as explicit monomial relations: every monomial of degree
+    cap+1 inside a ``(start, count, cap)`` block."""
+    rels = []
+    for start, count, cap in blocks:
+        for local in monomials_up_to(count, cap + 1):
+            if sum(local) == cap + 1:
+                exps = [0] * ngens
+                exps[start:start + count] = local
+                rels.append({tuple(exps): Fraction(1)})
+    return rels
 
 
 # -- brute-force neighborhood predicates (index loops, no form objects) ---------------

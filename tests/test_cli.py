@@ -70,6 +70,16 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert "expected an integer" in err
 
 
+def test_check_bare_quotient_name_exit_2(tmp_path, capsys):
+    text = "block d vars 1 cap 1\nquotient u vars 2 degcap 3 relations { u)1]*u[2] }\n"
+    path = write(tmp_path, text)
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}:2:40: ")
+    assert "expected an indexed generator like u[1], found u" in err
+
+
 def test_check_setup_fault_exit_2(tmp_path, capsys):
     path = write(tmp_path, "block e vars 1 cap 1\npoint P = (1/0,)\ncheck in-Dk (P) k=1\n")
     code, out, err = run_main(capsys, "check", path)

@@ -210,6 +210,15 @@ REJECTS = [
     ),
     ("map f(x) -> 1 { x", 1, 18, "'}'", "end of input"),
     ("block e vars 1 cap -1", 1, 20, "an integer", "-"),
+    # a quotient's relations take its indexed generators, never its bare name
+    (
+        "quotient u vars 2 degcap 3 relations { u)1]*u[2] }",
+        1, 40, "an indexed generator like u[1]", "u",
+    ),
+    (
+        "quotient u vars 2 degcap 3 relations { u[1]*u }",
+        1, 45, "an indexed generator like u[1]", "u",
+    ),
 ]
 
 

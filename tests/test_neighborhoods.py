@@ -35,7 +35,14 @@ from weilaff import (
     symmetric_coordinate_form,
 )
 
-from _oracles import brute_in_D_k, brute_in_DN_k, point_dense
+from _oracles import (
+    brute_in_D_k,
+    brute_in_DN_k,
+    ideal_membership,
+    monomials_up_to,
+    nilsquare_relations,
+    point_dense,
+)
 
 
 def two_blocks():
@@ -419,6 +426,18 @@ def test_generic_nilsquare_pair_matches_order_one_vector():
         assert not d[a].is_zero()
         for b in range(3):
             assert (d[a] * d[b]).is_zero()
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (2, 4)])
+def test_generic_nilsquare_model_matches_explicit_relations(n, m):
+    # the model is the k = 1 symmetric-only one; its normal forms must agree
+    # with the nil-square relations written out one by one
+    c, _ = generic_nilsquare_tuple(n, m)
+    ngens = n * (m - 1)
+    member = ideal_membership(nilsquare_relations(n, m), ngens, m)
+    for mono in monomials_up_to(ngens, m):
+        el = c.element({mono: Fraction(1)})
+        assert el.is_zero() == member({mono: Fraction(1)}), mono
 
 
 def test_generic_nilsquare_triple_antisymmetric_survivors():

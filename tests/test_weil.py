@@ -1,5 +1,6 @@
 """Core algebra: contexts, ring ops, inversion, sqrt, matrices, quotients."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,12 @@ from weilaff import (
 
 from _oracles import (
     as_dense,
+    cap_relations,
     dense_mul,
     dense_pow,
+    ideal_membership,
     monomials_up_to,
+    nilsquare_relations,
     reduces_to_zero,
 )
 
@@ -316,6 +320,69 @@ def test_quotient_products_stay_congruent():
         diff[m] = diff.get(m, Fraction(0)) - q
     diff = {m: q for m, q in diff.items() if q}
     assert reduces_to_zero(diff, rels, 2, cap)
+
+
+# -- mixed contexts: block caps plus relations ---------------------------------------------
+
+# d1, d2 capped at 2; u1..u4 capped at 3 and carrying the nil-square relations
+# of a 3-tuple in R^2.  Total cap 5, so both block caps bind.
+MIXED_BLOCKS = [("d", 2, 2), ("u", 4, 3)]
+MIXED_RELS = nilsquare_relations(2, 3, ngens=6, offset=2)
+MIXED_CAP = 5
+
+
+@pytest.fixture(scope="module")
+def mixed_member():
+    # the old lowering, kept as the reference: caps listed as monomial relations
+    caps = cap_relations([(0, 2, 2), (2, 4, 3)], 6)
+    return ideal_membership(MIXED_RELS + caps, 6, MIXED_CAP)
+
+
+def test_mixed_context_monomials_match_oracle(mixed_member):
+    c = make_truncated_context(MIXED_BLOCKS, MIXED_RELS)
+    assert c.max_degree == MIXED_CAP
+    for mono in monomials_up_to(6, MIXED_CAP):
+        el = c.element({mono: Fraction(1)})
+        assert el.is_zero() == mixed_member({mono: Fraction(1)}), mono
+
+
+def test_mixed_context_products_stay_congruent(mixed_member):
+    rng = random.Random(7)
+    c = make_truncated_context(MIXED_BLOCKS, MIXED_RELS)
+    monos = monomials_up_to(6, 3)
+
+    def draw():
+        return c.element(
+            {rng.choice(monos): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)}
+        )
+
+    for _ in range(8):
+        x, y = draw(), draw()
+        got = as_dense(x * y)
+        diff = dense_mul(as_dense(x), as_dense(y), MIXED_CAP)
+        for m, q in got.items():
+            diff[m] = diff.get(m, Fraction(0)) - q
+        assert mixed_member(diff)
+
+
+def test_relation_across_blocks_reduces_over_surviving_monomials():
+    # a*b + b^2 = 0 with a^2 = 0 and b^3 = 0: its multiples a^2*b + a*b^2 and
+    # a*b^2 + b^3 both leave a*b^2 = 0 once the capped monomials drop out
+    rels = [{(1, 1): Fraction(1), (0, 2): Fraction(1)}]
+    c = make_truncated_context([("a", 1, 1), ("b", 1, 2)], rels)
+    a, b = c.gens()
+    assert a * b == -(b * b)
+    assert (a * b * b).is_zero()
+    member = ideal_membership(rels + cap_relations([(0, 1, 1), (1, 1, 2)], 2), 2, 3)
+    for mono in monomials_up_to(2, 3):
+        assert c.element({mono: Fraction(1)}).is_zero() == member({mono: Fraction(1)}), mono
+
+
+def test_one_block_truncation_is_relation_free_quotient():
+    a = make_truncated_context([("t", 1, 2)])
+    b = make_quotient_context(["t"], [], 2)
+    assert a == b and hash(a) == hash(b)
+    assert a.gen(0) + b.gen(0) == a.gen(0) * 2
 
 
 # -- elements and points ------------------------------------------------------------------
