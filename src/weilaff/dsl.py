@@ -94,7 +94,7 @@ class ENum:
 class ERef:
     """A bare name, or an indexed generator reference ``name[i]`` (1-based).
 
-    ``tok`` is the source token of a bare name, kept for error positions.
+    ``tok`` is the source token of the name, kept for error positions.
     """
 
     name: str
@@ -828,7 +828,7 @@ class _Parser:
                 sym = self.lookup(t, ("block", "quotient"))
                 if not 1 <= index <= sym.a:
                     self.fail(f"an index in 1..{sym.a}", itok)
-                return ERef(t.value, index)
+                return ERef(t.value, index, tok=t)
             if env is not None and t.value not in env:
                 self.fail("a declared parameter name", t)
             return ERef(t.value, tok=t)
@@ -909,7 +909,7 @@ class _Parser:
         if isinstance(node, ERef):
             if node.index is not None:
                 if node.name != family:
-                    self.fail("this declaration's own generators", tok)
+                    self.fail("this declaration's own generators", node.tok)
                 return Poly.variable(nvars, node.index - 1)
             if node.name in varmap:
                 return Poly.variable(nvars, varmap[node.name])

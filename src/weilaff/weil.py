@@ -15,16 +15,21 @@ cached reduced row echelon basis.
 optional relations); :func:`make_quotient_context` is one block covering
 every generator with the given total-degree cap.
 
-Elements are immutable sparse polynomials over ``fractions.Fraction`` kept in
-canonical normal form, so ``==`` on elements is equality in the algebra.
-All arithmetic is exact; nothing here ever touches floats.
+An element is immutable: integer numerators on the monomials of its normal
+form over one positive common denominator, in lowest terms, so ``==`` on
+elements is equality in the algebra (the layout of FLINT's ``fmpq_poly``).
+Fractions appear only at the edges: building elements from rationals, and
+reading coefficients, constant terms and witnesses back.  A product visits
+only the pairs of terms whose degrees fit under the total cap, and relation
+reduction runs on integer rows.  All arithmetic is exact; nothing here ever
+touches floats.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
+from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple  # exponent tuple, one slot per generator
@@ -88,11 +93,17 @@ class Block:
 class WeilContext:
     """Shared generator/vanishing data for a family of elements.
 
+    Two contexts are equal when their names and blocks match and their
+    relations span the same ideal modulo the caps, however they are listed.
+
     Do not call directly; use :func:`make_truncated_context` or
     :func:`make_quotient_context`.
     """
 
-    __slots__ = ("names", "blocks", "relations", "degree_cap", "_binding", "_sig", "_bases")
+    __slots__ = (
+        "names", "blocks", "relations", "degree_cap", "_binding", "_sig", "_zero_mono",
+        "_bases", "_ideal",
+    )
 
     def __init__(self, names: tuple, blocks: tuple, relations: tuple):
         self.names = names
@@ -105,23 +116,37 @@ class WeilContext:
             (b.start, b.start + b.count, b.cap) for b in blocks if b.cap < self.degree_cap
         )
         # block names only label generators, which ``names`` already records
-        self._sig = (
-            names,
-            tuple((b.start, b.count, b.cap) for b in blocks),
-            tuple(tuple(r.items()) for r in relations),
-        )
-        # per-degree RREF bases for relation reduction; populated lazily and
-        # idempotently (recomputation yields the identical basis, so a race
-        # merely duplicates work)
+        self._sig = (names, tuple((b.start, b.count, b.cap) for b in blocks))
+        self._zero_mono = (0,) * len(names)
+        # per-degree RREF bases for relation reduction, and the ideal key built
+        # from them; populated lazily and idempotently (recomputation yields
+        # the identical value, so a race merely duplicates work)
         self._bases = {}
+        self._ideal = None
 
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, WeilContext) and self._sig == other._sig
+        if self is other:
+            return True
+        if not isinstance(other, WeilContext) or self._sig != other._sig:
+            return False
+        # two relation lists may present one ideal: compare its reduced bases
+        return self.relations == other.relations or self._ideal_key() == other._ideal_key()
 
     def __hash__(self):
         return hash(self._sig)
+
+    def _ideal_key(self) -> tuple:
+        """The canonical integer bases of degrees 1..cap: equal exactly when
+        the relations span the same ideal modulo the block caps."""
+        if self._ideal is None:
+            self._ideal = tuple(
+                tuple(sorted((p, tuple(sorted(row.items())))
+                             for p, (_, row) in self._degree_basis(d).items()))
+                for d in range(1, self.degree_cap + 1)
+            )
+        return self._ideal
 
     def __repr__(self):
         return (
@@ -141,28 +166,38 @@ class WeilContext:
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "WeilElement":
-        return WeilElement(self, {}, _normalized=True)
+        return WeilElement(self, {}, 1)
 
     def one(self) -> "WeilElement":
-        return self.scalar(1)
+        return WeilElement(self, {self._zero_mono: 1}, 1)
 
     def scalar(self, q: Scalar) -> "WeilElement":
-        q = _as_fraction(q)
-        zero_mono = (0,) * self.ngens
-        return WeilElement(self, {zero_mono: q} if q else {}, _normalized=True)
+        if type(q) is not int:
+            q = _as_fraction(q)
+            if q.denominator != 1:
+                return WeilElement(self, {self._zero_mono: q.numerator}, q.denominator)
+            q = q.numerator
+        return WeilElement(self, {self._zero_mono: q} if q else {}, 1)
 
     def gen(self, i: int) -> "WeilElement":
         if not 0 <= i < self.ngens:
             raise IndexError(f"generator index {i} out of range")
         mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-        return WeilElement(self, {mono: Fraction(1)}, _normalized=True)
+        # a cap of 0 kills a generator, and a linear relation may reduce it
+        if self.monomial_is_zero(mono):
+            return self.zero()
+        return self._normal_form({mono: 1}, 1)
 
     def gens(self) -> list:
         return [self.gen(i) for i in range(self.ngens)]
 
     def element(self, raw: Mapping[Monomial, Scalar]) -> "WeilElement":
-        coeffs = {tuple(m): _as_fraction(c) for m, c in raw.items()}
-        return WeilElement(self, coeffs)
+        terms = {}
+        for m, c in raw.items():
+            m, c = tuple(m), _as_fraction(c)
+            if c and not self.monomial_is_zero(m):
+                terms[m] = c
+        return self._normal_form(*_over_common_denominator(terms))
 
     def point(self, coords: Sequence) -> "PointVec":
         """Coerce a sequence of scalars/elements into a point of this context."""
@@ -184,35 +219,31 @@ class WeilContext:
             return True
         return any(sum(mono[lo:hi]) > cap for lo, hi, cap in self._binding)
 
-    def normalize(self, raw: Mapping[Monomial, Fraction]) -> dict:
-        kept = {m: c for m, c in raw.items() if c and not self.monomial_is_zero(m)}
-        if not self.relations:
-            return kept
-        by_degree = {}
-        for m, c in kept.items():
-            by_degree.setdefault(sum(m), {})[m] = c
-        out = {}
-        for d, vec in by_degree.items():
-            out.update(self._reduce_at_degree(d, vec) if d else vec)
-        return out
+    def _normal_form(self, num: dict, den: int) -> "WeilElement":
+        """The element ``num / den``, given integer numerators on monomials
+        the caps leave alive: relations reduced, common factor removed."""
+        if self.relations and num:
+            hits = []
+            for m, c in num.items():
+                d = sum(m)
+                if d:
+                    hit = self._degree_basis(d).get(m)
+                    if hit:
+                        hits.append((c, hit))
+            if hits:
+                num, scale = _reduce_at_degree(num, hits)
+                den *= scale
+        return _canonical(self, num, den)
 
-    def _reduce_at_degree(self, degree: int, vec: dict) -> dict:
-        vec = dict(vec)
-        for pivot, row in self._degree_basis(degree):
-            c = vec.get(pivot)
-            if not c:
-                continue
-            for m, rc in row.items():
-                nc = vec.get(m, 0) - c * rc
-                if nc:
-                    vec[m] = nc
-                else:
-                    vec.pop(m, None)
-        return vec
-
-    def _degree_basis(self, degree: int):
+    def _degree_basis(self, degree: int) -> dict:
         """RREF basis of span{relation * monomial} in the given graded slot,
-        restricted to the monomials the block caps leave alive.
+        restricted to the monomials the block caps leave alive, as
+        ``{pivot: (pivot coefficient, row)}``.  Each row is a primitive
+        integer vector with a positive coefficient on its pivot (its largest
+        monomial) and zero on every other pivot: the unique reduced basis
+        over Q, each row scaled to integers, so equal spans give equal bases.
+        The elimination is fraction-free (as in Bareiss 1968, with rows
+        divided by their content where Bareiss divides by the previous pivot).
 
         The caps generate a monomial ideal M, and the leading monomials of
         ``J_d + M_d`` are ``M_d`` together with those of J_d projected off
@@ -222,53 +253,35 @@ class WeilContext:
         if basis is not None:
             return basis
         capped = self.monomial_is_zero if self._binding else None
-        rows = []
+        basis = {}
         for rel in self.relations:
             rel_deg = sum(next(iter(rel)))  # relations are homogeneous
             if rel_deg > degree:
                 continue
+            rel = _primitive(_over_common_denominator(rel)[0])
             for shift in monomials_of_degree(self.ngens, degree - rel_deg):
                 if capped and capped(shift):  # so is every multiple of it
                     continue
+                # adding one shift is injective, so no two terms collide
                 row = {}
                 for m, c in rel.items():
-                    key = tuple(a + b for a, b in zip(m, shift))
-                    if capped and capped(key):
-                        continue
-                    row[key] = row.get(key, 0) + c
-                rows.append({m: c for m, c in row.items() if c})
-        basis = []  # list of (pivot, row) with row[pivot] == 1, mutually reduced
-        for row in rows:
-            row = dict(row)
-            for pivot, brow in basis:
-                c = row.get(pivot)
-                if not c:
+                    key = tuple(map(_add, m, shift))
+                    if not (capped and capped(key)):
+                        row[key] = c
+                hits = [(row[m], basis[m]) for m in row if m in basis]
+                if hits:
+                    row = _reduce_at_degree(row, hits)[0]
+                if not row:
                     continue
-                for m, rc in brow.items():
-                    nc = row.get(m, 0) - c * rc
-                    if nc:
-                        row[m] = nc
-                    else:
-                        row.pop(m, None)
-            if not row:
-                continue
-            pivot = max(row)
-            inv = 1 / Fraction(row[pivot])
-            row = {m: c * inv for m, c in row.items()}
-            for i, (p, brow) in enumerate(basis):
-                c = brow.get(pivot)
-                if not c:
-                    continue
-                nrow = dict(brow)
-                for m, rc in row.items():
-                    nc = nrow.get(m, 0) - c * rc
-                    if nc:
-                        nrow[m] = nc
-                    else:
-                        nrow.pop(m, None)
-                basis[i] = (p, nrow)
-            basis.append((pivot, row))
-        basis.sort(key=lambda pr: pr[0], reverse=True)
+                row = _primitive(row)
+                pivot = max(row)
+                pc = row[pivot]
+                for p, (_, brow) in list(basis.items()):
+                    c = brow.get(pivot)
+                    if c:
+                        brow = _primitive(_reduce_at_degree(brow, [(c, (pc, row))])[0])
+                        basis[p] = (brow[p], brow)
+                basis[pivot] = (pc, row)
         self._bases[degree] = basis
         return basis
 
@@ -282,6 +295,55 @@ class WeilContext:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "·".join(parts) if parts else "1"
+
+
+def _over_common_denominator(terms: Mapping[Monomial, Fraction]) -> tuple:
+    """``(num, den)``: integer numerators over the least common denominator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _primitive(row: dict) -> dict:
+    """``row`` divided by its content, signed so its largest monomial is positive."""
+    g = math.gcd(*row.values())
+    if row[max(row)] < 0:
+        g = -g
+    return row if g == 1 else {m: c // g for m, c in row.items()}
+
+
+def _reduce_at_degree(vec: dict, hits: list) -> tuple:
+    """Clear pivot entries of the integer vector ``vec``.
+
+    ``hits`` pairs each nonzero entry ``c`` of ``vec`` on a pivot with that
+    pivot's ``(pivot coefficient, row)``, from the bases of any degrees (a
+    row touches only its own degree).  Rows of a reduced basis vanish on
+    every other pivot, so the multiple of each row to subtract depends only
+    on ``vec``: ``vec`` is scaled once by the least multiplier that makes
+    every such multiple integral.  Returns ``(scale * reduced, scale)``.
+    """
+    scale = 1
+    for c, (pc, _) in hits:
+        scale = math.lcm(scale, pc // math.gcd(pc, c))
+    out = {m: c * scale for m, c in vec.items()} if scale != 1 else dict(vec)
+    for c, (pc, row) in hits:
+        f = c * scale // pc
+        for m, rc in row.items():
+            nc = out.get(m, 0) - f * rc
+            if nc:
+                out[m] = nc
+            else:
+                del out[m]
+    return out, scale
+
+
+def _canonical(ctx: WeilContext, num: dict, den: int) -> "WeilElement":
+    """``num / den`` with the common factor of ``den`` and every numerator removed."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {m: c // g for m, c in num.items()}
+    return WeilElement(ctx, num, den)
 
 
 def _clean_relations(relations, ngens: int) -> tuple:
@@ -358,45 +420,64 @@ def make_quotient_context(
 
 
 class WeilElement:
-    """An immutable element of a :class:`WeilContext`, kept in normal form."""
+    """An immutable element ``num / den`` of a :class:`WeilContext`.
 
-    __slots__ = ("context", "coeffs")
+    ``num`` maps each surviving monomial of the normal form to an integer
+    numerator and ``den`` is one positive common denominator, with
+    ``gcd(den, *num.values()) == 1`` and zero stored as ``({}, 1)``.  Do not
+    call directly: build elements through the context.
+    """
 
-    def __init__(self, context: WeilContext, coeffs: dict, _normalized: bool = False):
+    __slots__ = ("context", "num", "den")
+
+    def __init__(self, context: WeilContext, num: dict, den: int):
         self.context = context
-        self.coeffs = coeffs if _normalized else context.normalize(coeffs)
+        self.num = num
+        self.den = den
 
     # -- helpers -------------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, WeilElement):
-            if other.context != self.context:
+            if other.context is not self.context and other.context != self.context:
                 raise ContextMismatchError("elements belong to different contexts")
             return other
         if isinstance(other, (int, Fraction)):
             return self.context.scalar(other)
         return None
 
+    def _scaled(self, p: int, q: int) -> "WeilElement":
+        """This element times ``p / q``."""
+        if not p:
+            return self.context.zero()
+        return _canonical(self.context, {m: c * p for m, c in self.num.items()}, self.den * q)
+
+    @property
+    def coeffs(self) -> dict:
+        """A fresh dict of the coefficients as Fractions, monomial by monomial."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.context.ngens, Fraction(0))
+        return Fraction(self.num.get(self.context._zero_mono, 0), self.den)
 
     def min_degree(self):
         """Smallest total degree of a surviving monomial; ``None`` if zero."""
-        if not self.coeffs:
+        if not self.num:
             return None
-        return min(sum(m) for m in self.coeffs)
+        return min(map(sum, self.num))
 
     def nilpotent_part(self) -> "WeilElement":
         return self - self.constant_term
 
     def leading_witness(self):
         """(monomial string, coefficient) for the least surviving monomial."""
-        mono = min(self.coeffs, key=lambda m: (sum(m), m))
-        return self.context.format_monomial(mono), self.coeffs[mono]
+        mono = min(self.num, key=lambda m: (sum(m), m))
+        return self.context.format_monomial(mono), Fraction(self.num[mono], self.den)
 
     # -- ring operations -------------------------------------------------------
 
@@ -405,21 +486,27 @@ class WeilElement:
         if other is None:
             return NotImplemented
         # normal forms are closed under addition (reduction is linear)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            nc = out.get(m, 0) + c
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.num)
+            fb = 1
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {m: c * fa for m, c in self.num.items()}
+            da *= fa
+        for m, c in other.num.items():
+            nc = out.get(m, 0) + c * fb
             if nc:
                 out[m] = nc
             else:
                 del out[m]
-        return WeilElement(self.context, out, _normalized=True)
+        return _canonical(self.context, out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeilElement(
-            self.context, {m: -c for m, c in self.coeffs.items()}, _normalized=True
-        )
+        return WeilElement(self.context, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -434,27 +521,40 @@ class WeilElement:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if not q:
-                return self.context.zero()
-            return WeilElement(
-                self.context, {m: c * q for m, c in self.coeffs.items()}, _normalized=True
-            )
+        if isinstance(other, int):
+            return self._scaled(int(other), 1)
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         ctx = self.context
+        a, b = self.num, other.num
+        zero = ctx._zero_mono
+        # a constant factor only scales the other one
+        if len(b) == 1 and zero in b:
+            return self._scaled(b[zero], other.den)
+        if len(a) == 1 and zero in a:
+            return other._scaled(a[zero], self.den)
+        # the right factor's terms in order of degree; ends[r] counts those of
+        # degree at most r, so a left term of degree d meets exactly the
+        # first ends[cap - d] of them and no pair is visited to be rejected
+        # by the total cap
         cap = ctx.degree_cap
+        graded = [[] for _ in range(cap + 1)]
+        for m, c in b.items():
+            graded[sum(m)].append((m, c))
+        right = []
+        ends = []
+        for terms in graded:
+            right.extend(terms)
+            ends.append(len(right))
         binding = ctx._binding
         out = {}
-        for m1, c1 in self.coeffs.items():
-            d1 = sum(m1)
-            for m2, c2 in other.coeffs.items():
-                if d1 + sum(m2) > cap:
-                    continue
-                key = tuple(a + b for a, b in zip(m1, m2))
-                if binding and ctx.monomial_is_zero(key):
+        for m1, c1 in a.items():
+            for m2, c2 in right[: ends[cap - sum(m1)]]:
+                key = tuple(map(_add, m1, m2))
+                if binding and any(sum(key[lo:hi]) > bc for lo, hi, bc in binding):
                     continue
                 nc = out.get(key, 0) + c1 * c2
                 if nc:
@@ -462,7 +562,7 @@ class WeilElement:
                 else:
                     del out[key]
         # the loop already applied every cap; only relations remain
-        return WeilElement(ctx, out, _normalized=not ctx.relations)
+        return ctx._normal_form(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -496,17 +596,19 @@ class WeilElement:
             other = self.context.scalar(other)
         if not isinstance(other, WeilElement):
             return NotImplemented
-        return self.context == other.context and self.coeffs == other.coeffs
+        return (
+            self.den == other.den and self.num == other.num and self.context == other.context
+        )
 
     def __hash__(self):
-        return hash((self.context, frozenset(self.coeffs.items())))
+        return hash((self.context, frozenset(self.num.items()), self.den))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
-        for mono in sorted(self.coeffs, key=lambda m: (sum(m), tuple(-e for e in m))):
-            c = self.coeffs[mono]
+        for mono in sorted(self.num, key=lambda m: (sum(m), tuple(-e for e in m))):
+            c = Fraction(self.num[mono], self.den)
             mstr = self.context.format_monomial(mono)
             if mstr == "1":
                 text = str(c)
@@ -715,7 +817,7 @@ class PointVec:
         return f"PointVec{self}"
 
     def is_rational(self) -> bool:
-        return all(c.coeffs.keys() <= {(0,) * self.context.ngens} for c in self.coords)
+        return all(c.num.keys() <= {self.context._zero_mono} for c in self.coords)
 
     def rational_coords(self) -> tuple:
         if not self.is_rational():

@@ -219,6 +219,12 @@ REJECTS = [
         "quotient u vars 2 degcap 3 relations { u[1]*u }",
         1, 45, "an indexed generator like u[1]", "u",
     ),
+    # another declaration's generator is reported at that generator
+    (
+        "block v vars 2 cap 1\n"
+        "quotient q vars 2 degcap 2 relations { q[1]*q[2] + q[1]*v[1] }",
+        2, 57, "this declaration's own generators", "v",
+    ),
 ]
 
 

@@ -1,5 +1,6 @@
 """Core algebra: contexts, ring ops, inversion, sqrt, matrices, quotients."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from weilaff import (
     PointVec,
     SingularMatrixError,
     WeilError,
+    generic_nilsquare_tuple,
     invert,
     make_quotient_context,
     make_truncated_context,
@@ -24,8 +26,10 @@ from weilaff import (
 from _oracles import (
     as_dense,
     cap_relations,
+    dense_add,
     dense_mul,
     dense_pow,
+    dense_scale,
     ideal_membership,
     monomials_up_to,
     nilsquare_relations,
@@ -417,3 +421,175 @@ def test_point_vec_arithmetic_and_rational_coords():
     assert (2 * Q)[0] == c.gen(0) * 2
     with pytest.raises(WeilError):
         R.rational_coords()  # nilpotent coordinates have no rational value
+
+
+# -- integer numerators over one denominator -------------------------------------------
+
+# Truncated, mixed-block and quotient contexts, each with its ideal as plain
+# data for the oracles: block caps as monomial relations, plus the relations
+# themselves.  The nil-square relations reduce with unit pivots; the scaled
+# ones give pivot coefficients up to 6.
+NILSQ_RELS = nilsquare_relations(2, 3)
+SCALED_RELS = [
+    {(2, 0, 0): Fraction(2), (0, 1, 1): Fraction(3)},
+    {(1, 1, 0): Fraction(3), (0, 0, 2): Fraction(-5, 2)},
+    {(0, 2, 0): Fraction(1, 3)},
+]
+KERNEL_CASES = {
+    "truncated": (make_truncated_context([("e", 3, 2)]), [(0, 3, 2)], []),
+    "mixed-blocks": (make_truncated_context([("a", 2, 1), ("b", 2, 2)]), [(0, 2, 1), (2, 2, 2)], []),
+    "quotient": (make_quotient_context(["p1", "p2", "q1", "q2"], NILSQ_RELS, 3), [], NILSQ_RELS),
+    "quotient-scaled": (make_quotient_context(["x", "y", "z"], SCALED_RELS, 3), [], SCALED_RELS),
+}
+QUOTIENT_CASES = ["quotient", "quotient-scaled"]
+_MEMBERS = {}
+
+
+def _member(case):
+    if case not in _MEMBERS:
+        ctx, blocks, rels = KERNEL_CASES[case]
+        _MEMBERS[case] = ideal_membership(
+            rels + cap_relations(blocks, ctx.ngens), ctx.ngens, ctx.max_degree
+        )
+    return _MEMBERS[case]
+
+
+def _oracle_product(case, x, y):
+    """The dense product, with its monomials in the ideal dropped when the
+    ideal is monomial (no relations beyond the caps)."""
+    ctx, _, rels = KERNEL_CASES[case]
+    raw = dense_mul(as_dense(x), as_dense(y), ctx.max_degree)
+    if rels:
+        return raw
+    member = _member(case)
+    return {m: c for m, c in raw.items() if not member({m: Fraction(1)})}
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num.values()) == 1
+    assert all(isinstance(c, int) and c for c in x.num.values())
+    if x.is_zero():
+        assert (x.num, x.den) == ({}, 1)
+    assert x.context.element(x.coeffs) == x
+
+
+def _in_ideal(case, vec):
+    return _member(case)({m: c for m, c in vec.items() if c})
+
+
+_COEFF = st.fractions(min_value=Fraction(-7, 2), max_value=Fraction(7, 2), max_denominator=12)
+
+
+def _case_elements(case):
+    ctx = KERNEL_CASES[case][0]
+    monos = monomials_up_to(ctx.ngens, ctx.max_degree)
+    return st.dictionaries(st.sampled_from(monos), _COEFF, max_size=6).map(ctx.element)
+
+
+CASE = st.sampled_from(sorted(KERNEL_CASES))
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.data())
+def test_elements_stay_canonical(data):
+    case = data.draw(CASE)
+    x, y = data.draw(_case_elements(case)), data.draw(_case_elements(case))
+    q = data.draw(_COEFF)
+    for z in (x, y, x + y, x - y, x * y, x * q, q * y, -x, x - x, x.nilpotent_part()):
+        _assert_canonical(z)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.data())
+def test_kernel_against_dense_oracle(data):
+    case = data.draw(CASE)
+    ctx, _, rels = KERNEL_CASES[case]
+    x, y = data.draw(_case_elements(case)), data.draw(_case_elements(case))
+    q = data.draw(_COEFF)
+    # reduction is linear, so sums and scalar multiples of normal forms are normal forms
+    assert as_dense(x + y) == dense_add(as_dense(x), as_dense(y))
+    assert as_dense(x * q) == dense_scale(as_dense(x), q)
+    got, want = as_dense(x * y), _oracle_product(case, x, y)
+    if not rels:
+        assert got == want
+    else:
+        diff = dense_add(want, dense_scale(got, Fraction(-1)))
+        assert _in_ideal(case, diff)
+        # the normal form of a class does not depend on its representative
+        assert ctx.element(want) == x * y
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.data())
+def test_constant_operand_matches_general_product(data):
+    case = data.draw(CASE)
+    ctx = KERNEL_CASES[case][0]
+    x = data.draw(_case_elements(case))
+    q = data.draw(_COEFF)
+    c, g = ctx.scalar(q), ctx.gen(data.draw(st.integers(0, ctx.ngens - 1)))
+    # c + g is not constant, so its products take the general loop
+    general = (c + g) * x - g * x
+    assert c * x == general == x * c == x * q
+    assert as_dense(c * x) == _oracle_product(case, c, x)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.data())
+def test_quotient_normal_forms_against_membership(data):
+    case = data.draw(st.sampled_from(QUOTIENT_CASES))
+    ctx, _, rels = KERNEL_CASES[case]
+    monos = monomials_up_to(ctx.ngens, ctx.max_degree)
+    raw = data.draw(st.dictionaries(st.sampled_from(monos), _COEFF, max_size=8))
+    x = ctx.element(raw)
+    # x is congruent to its input, and zero exactly when the input is in the ideal
+    assert _in_ideal(case, dense_add(raw, dense_scale(as_dense(x), Fraction(-1))))
+    assert x.is_zero() == _in_ideal(case, raw)
+    # adding a multiple of a relation changes nothing
+    rel = data.draw(st.sampled_from(rels))
+    shift = data.draw(st.sampled_from(monomials_up_to(ctx.ngens, 1)))
+    q = data.draw(_COEFF)
+    moved = {tuple(a + b for a, b in zip(m, shift)): c * q for m, c in rel.items()}
+    assert ctx.element(dense_add(raw, moved)) == x
+
+
+def test_scalar_constructors_are_canonical():
+    c = KERNEL_CASES["quotient-scaled"][0]
+    for x in (c.zero(), c.one(), c.scalar(0), c.scalar(Fraction(-6, 4)), c.scalar(Fraction(8, 4)),
+              c.gen(2), c.one() * Fraction(2, 3) * Fraction(3, 2)):
+        _assert_canonical(x)
+    assert c.scalar(Fraction(4, 2)) == c.scalar(2) == c.one() + c.one()
+    assert c.scalar(Fraction(1, 2)).constant_term == Fraction(1, 2)
+
+
+def test_generators_are_normal_forms():
+    # a cap of 0 kills a generator, and a linear relation rewrites one
+    t = make_truncated_context([("a", 1, 0), ("b", 1, 1)])
+    assert t.gen(0).is_zero() and (t.gen(0) * t.one()).is_zero()
+    q = make_quotient_context(["x", "y"], [{(1, 0): 1, (0, 1): -1}], 2)
+    assert q.gen(0) == q.gen(1) == q.element({(1, 0): 1})
+    _assert_canonical(q.gen(0))
+
+
+# -- context identity by ideal -----------------------------------------------------------
+
+
+def test_two_presentations_of_one_ideal_are_one_context():
+    b = generic_nilsquare_tuple(2, 3)[0]
+    a = make_quotient_context(b.names, nilsquare_relations(2, 3), 3)
+    assert len(a.relations) == 10 and len(b.relations) == 9
+    assert a == b and hash(a) == hash(b)
+    assert a.gen(0) + b.gen(1) == b.gen(0) + a.gen(1)
+    assert a.gen(0) * b.gen(2) == b.gen(0) * a.gen(2)
+
+
+def test_a_different_ideal_is_a_different_context():
+    b = generic_nilsquare_tuple(2, 3)[0]
+    fewer = make_quotient_context(b.names, nilsquare_relations(2, 3)[:-1], 3)
+    assert fewer != b
+    with pytest.raises(ContextMismatchError):
+        fewer.gen(0) + b.gen(0)
+    # the same relations under another cap give another algebra; scaled ones do not
+    assert make_quotient_context(b.names, nilsquare_relations(2, 3), 4) != b
+    scaled = [{m: c * -3 for m, c in rel.items()} for rel in nilsquare_relations(2, 3)]
+    assert make_quotient_context(b.names, scaled, 3) == b
