@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polymap import Poly
+from .polymap import Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Var, expr_to_poly
 
 __all__ = [
     "ParseError",
@@ -135,10 +135,9 @@ class EVec:
 
 # -- statements --------------------------------------------------------------------
 
-# Polynomials inside declarations are stored canonically as a sorted tuple of
-# (exponent-tuple, coefficient) pairs so scenario equality is syntax-independent.
-PolyData = tuple
-
+# Relations and GAMMA entries are held as :class:`Poly`, so scenario equality
+# is syntax-independent; map bodies keep their syntax, and their lowering to
+# polymap expressions rides along outside equality.
 
 @dataclass(frozen=True)
 class BlockDecl:
@@ -153,7 +152,7 @@ class QuotientDecl:
     name: str
     nvars: int
     degcap: int
-    relations: tuple  # of PolyData
+    relations: tuple  # of Poly over the quotient's own generators
     line: int = field(compare=False, default=0)
 
 
@@ -170,8 +169,9 @@ class MapDecl:
     name: str
     params: tuple
     out_dim: int
-    bodies: tuple
+    bodies: tuple  # expression ASTs, one per output component
     line: int = field(compare=False, default=0)
+    exprs: tuple = field(compare=False, default=())  # bodies lowered to polymap Expr
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class FormDecl:
 class ConnectionDecl:
     name: str
     dim: int
-    entries: tuple  # of ((i, a, b) 0-based with a <= b, PolyData), sorted
+    entries: tuple  # of ((i, a, b) 0-based with a <= b, Poly in x1..xn), sorted
     line: int = field(compare=False, default=0)
 
 
@@ -472,16 +472,17 @@ class _Parser:
             self.fail("output dimension >= 1", name_tok)
         self.expect("{")
         env = {p: i for i, p in enumerate(params)}
-        bodies = [self.map_body_expr(env)]
+        bodies = [self.map_body(env)]
         while self.peek().type == ",":
             self.advance()
-            bodies.append(self.map_body_expr(env))
+            bodies.append(self.map_body(env))
         close = self.peek()
         self.expect("}")
         if len(bodies) != out_dim:
             self.fail(f"{out_dim} component expression(s)", close)
         self.declare(name_tok, _Sym("map", len(params), out_dim))
-        return MapDecl(name_tok.value, tuple(params), out_dim, tuple(bodies), line=line)
+        nodes, exprs = zip(*bodies)
+        return MapDecl(name_tok.value, tuple(params), out_dim, nodes, line=line, exprs=exprs)
 
     def stmt_form(self):
         line = self.advance().line
@@ -756,8 +757,11 @@ class _Parser:
         """Additive expression over points / generator refs / literal tuples."""
         return self.expr(env=None, calls=False)
 
-    def map_body_expr(self, env):
-        return self.expr(env=env, calls="sqrt")
+    def map_body(self, env) -> tuple:
+        """One map component: its AST and its lowering over the parameters."""
+        start = self.peek()
+        node = self.expr(env=env, calls="sqrt")
+        return node, self.lower(node, env, start)
 
     def expr(self, env, calls):
         node = self.mulexpr(env, calls)
@@ -885,14 +889,16 @@ class _Parser:
             self.fail("a vector-valued expression", tok)
         return dim
 
-    # polynomial folding (quotient relations, connection entries)
+    # lowering to polymap expressions (map bodies, relations, connection entries)
 
-    def polynomial(self, varmap: dict, nvars: int, homogeneous: bool = True, family=None):
+    def polynomial(self, varmap: dict, nvars: int, homogeneous: bool = True, family=None) -> Poly:
         """Fold an expression into a polynomial over ``nvars`` variables: the
         bare names of ``varmap``, or the indexed generators ``family[i]``."""
         start = self.peek()
         expr = self.expr(env=None, calls=False)
-        poly = self._to_poly(expr, varmap, nvars, start, family)
+        poly = expr_to_poly(self.lower(expr, varmap, start, family), nvars)
+        if poly is None:
+            self.fail("division by a nonzero constant", start)
         if poly.is_zero():
             self.fail("a nonzero polynomial", start)
         if homogeneous:
@@ -901,38 +907,40 @@ class _Parser:
                 self.fail("a homogeneous polynomial", start)
             if min(degs) < 2:
                 self.fail("a relation of degree >= 2", start)
-        return tuple(sorted(poly.terms.items()))
+        return poly
 
-    def _to_poly(self, node, varmap, nvars, tok, family) -> Poly:
+    def lower(self, node, varmap: dict, tok: _Tok, family=None) -> Expr:
+        """The polymap expression of a scalar body whose first token is ``tok``.
+
+        Variables are the bare names of ``varmap`` or the indexed generators
+        ``family[i]``; another family fails at its reference, while a bare name
+        or a tuple fails at ``tok``.
+        """
         if isinstance(node, ENum):
-            return Poly.constant(nvars, node.value)
+            return Const(node.value)
         if isinstance(node, ERef):
             if node.index is not None:
                 if node.name != family:
                     self.fail("this declaration's own generators", node.tok)
-                return Poly.variable(nvars, node.index - 1)
+                return Var(node.index - 1)
             if node.name in varmap:
-                return Poly.variable(nvars, varmap[node.name])
+                return Var(varmap[node.name])
             if family is not None:
                 self.fail(f"an indexed generator like {family}[1]", node.tok)
             self.fail("a polynomial in the declared variables", tok)
         if isinstance(node, ENeg):
-            return -self._to_poly(node.operand, varmap, nvars, tok, family)
+            return Neg(self.lower(node.operand, varmap, tok, family))
         if isinstance(node, EPow):
-            return self._to_poly(node.base, varmap, nvars, tok, family) ** node.exponent
+            return Power(self.lower(node.base, varmap, tok, family), node.exponent)
+        if isinstance(node, ECall):  # the parser admits only sqrt(x) here
+            return Sqrt(self.lower(node.args[0], varmap, tok, family))
         if isinstance(node, EBin):
-            left = self._to_poly(node.left, varmap, nvars, tok, family)
-            right = self._to_poly(node.right, varmap, nvars, tok, family)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if not right.is_constant() or right.constant_value() == 0:
-                self.fail("division by a nonzero constant", tok)
-            return left * (Fraction(1) / right.constant_value())
-        self.fail("a polynomial expression", tok)
+            left = self.lower(node.left, varmap, tok, family)
+            return _BINOPS[node.op](left, self.lower(node.right, varmap, tok, family))
+        self.fail("a scalar expression", tok)
+
+
+_BINOPS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 
 def _fold(node):
@@ -1004,11 +1012,6 @@ def _render(node, parent_prec: int) -> str:
     raise AssertionError(node)
 
 
-def _render_poly(data: PolyData, names) -> str:
-    poly = Poly(len(names), dict(data))
-    return poly.format(names)
-
-
 def _render_weights(rows) -> str:
     return "(" + "; ".join(_render_row(r) for r in rows) + ")"
 
@@ -1053,7 +1056,7 @@ def render_scenario(s: Scenario) -> str:
             lines.append(f"block {st.name} vars {st.nvars} cap {st.cap}")
         elif isinstance(st, QuotientDecl):
             names = [f"{st.name}[{i}]" for i in range(1, st.nvars + 1)]
-            rels = ", ".join(_render_poly(r, names) for r in st.relations)
+            rels = ", ".join(r.format(names) for r in st.relations)
             lines.append(
                 f"quotient {st.name} vars {st.nvars} degcap {st.degcap} relations {{ {rels} }}"
             )
@@ -1073,7 +1076,7 @@ def render_scenario(s: Scenario) -> str:
         elif isinstance(st, ConnectionDecl):
             names = [f"x{j}" for j in range(1, st.dim + 1)]
             parts = " ".join(
-                "GAMMA[%d][%d, %d] = %s" % (i + 1, a + 1, b + 1, _render_poly(p, names))
+                "GAMMA[%d][%d, %d] = %s" % (i + 1, a + 1, b + 1, p.format(names))
                 for (i, a, b), p in st.entries
             )
             lines.append(f"connection {st.name} dim {st.dim} {{ {parts} }}")

@@ -46,8 +46,8 @@ from .polymap import (
 )
 from .neighborhoods import (
     Witness,
+    _lift_base,
     find_A_k_violation,
-    in_A_k,
 )
 from .report import CheckReport
 
@@ -112,8 +112,7 @@ def difference_witness(A: PointVec, B: PointVec, location: str) -> Optional[Witn
     for i, (a, b) in enumerate(zip(A, B)):
         d = a - b
         if not d.is_zero():
-            mono, coeff = d.leading_witness()
-            return Witness(f"{location}[{i + 1}]", mono, coeff)
+            return Witness.of(f"{location}[{i + 1}]", d)
     return None
 
 
@@ -525,11 +524,7 @@ def induced_connection_check(
     if handle.order < 2:
         raise WeilError("the parallelogram action needs a second-order handle")
     n = handle.dim
-    if base is None:
-        base = [0] * n
-    base = [_as_fraction(b) for b in base]
-    if len(base) != n:
-        raise WeilError("base point dimension mismatch")
+    base = _lift_base(base, n)
     ctx = make_truncated_context([("u", n, 1), ("v", n, 1)])
     B = ctx.point(base)
     U = PointVec(ctx, tuple(ctx.gen(a) for a in range(n)))
@@ -626,9 +621,7 @@ def check_idempotent_identities(
       second-order (and trivially for first-order d).
     """
     n = rp.ambient_dim
-    base = [_as_fraction(b) for b in base]
-    if len(base) != n:
-        raise WeilError("base point dimension mismatch")
+    base = _lift_base(base, n)
     value, tensors = point_jet(rp.idempotent_eval, base, n, 2)
     Jac = [[tensors[1][(i, (a,))] for a in range(n)] for i in range(n)]
 
@@ -677,50 +670,34 @@ def check_idempotent_identities(
 
     report.run(f"{name_prefix}/hessian-splitting", "derivative", hessian_splitting)
 
-    def tangential_kill():
-        ctx = make_truncated_context([("d", n, 2)])
-        B = ctx.point(base)
-        X = PointVec(ctx, tuple(ctx.scalar(q) + ctx.gen(a) for a, q in enumerate(base)))
-        u = rp.idempotent_eval(X) - rp.idempotent_eval(B)
-        hu = []
+    def kill(cap: int, vector, label: str):
+        """De(D2e[v, v]) = 0 for v = vector(P, d), d a generic cap-``cap`` vector."""
+        ctx = make_truncated_context([("d", n, cap)])
+        v = vector(ctx.point(base), PointVec(ctx, tuple(ctx.gens())))
+        hv = []
         for p in range(n):
             acc = ctx.zero()
             for a in range(n):
-                if u[a].is_zero():
+                if v[a].is_zero():
                     continue
                 for b in range(n):
                     q = hess(p, a, b)
                     if q:
-                        acc = acc + (u[a] * u[b]) * q
-            hu.append(acc)
+                        acc = acc + (v[a] * v[b]) * q
+            hv.append(acc)
         for i in range(n):
             acc = ctx.zero()
             for p in range(n):
-                acc = acc + hu[p] * Jac[i][p]
+                acc = acc + hv[p] * Jac[i][p]
             if not acc.is_zero():
-                mono, coeff = acc.leading_witness()
-                return Witness(f"De(D2e[u,u])[{i + 1}]", mono, coeff)
+                return Witness.of(f"De(D2e[{label},{label}])[{i + 1}]", acc)
         return None
 
-    report.run(f"{name_prefix}/tangential-kill", "derivative", tangential_kill)
+    def tangent(B: PointVec, d: PointVec) -> PointVec:
+        return rp.idempotent_eval(B + d) - rp.idempotent_eval(B)
 
-    def first_order_kill():
-        ctx = make_truncated_context([("d", n, 1)])
-        d = PointVec(ctx, tuple(ctx.gen(a) for a in range(n)))
-        for i in range(n):
-            acc = ctx.zero()
-            for p in range(n):
-                inner = ctx.zero()
-                for a in range(n):
-                    for b in range(n):
-                        q = hess(p, a, b)
-                        if q:
-                            inner = inner + (d[a] * d[b]) * q
-                acc = acc + inner * Jac[i][p]
-            if not acc.is_zero():
-                mono, coeff = acc.leading_witness()
-                return Witness(f"De(D2e[d,d])[{i + 1}]", mono, coeff)
-        return None
-
-    report.run(f"{name_prefix}/first-order-kill", "derivative", first_order_kill)
+    report.run(f"{name_prefix}/tangential-kill", "derivative", lambda: kill(2, tangent, "u"))
+    report.run(
+        f"{name_prefix}/first-order-kill", "derivative", lambda: kill(1, lambda B, d: d, "d")
+    )
     return report

@@ -44,6 +44,11 @@ class Witness:
     monomial: str
     coefficient: Fraction
 
+    @classmethod
+    def of(cls, location: str, element: WeilElement) -> "Witness":
+        """The witness of a nonzero element: its least surviving monomial."""
+        return cls(location, *element.leading_witness())
+
     def as_dict(self) -> dict:
         return {
             "location": self.location,
@@ -154,11 +159,6 @@ def eval_form(form: MultilinearForm, vectors: Sequence[PointVec]) -> WeilElement
 # -- product searches --------------------------------------------------------
 
 
-def _witness_from(labels, element: WeilElement) -> Witness:
-    mono, coeff = element.leading_witness()
-    return Witness("·".join(labels), mono, coeff)
-
-
 def _search_multiset_products(factors, size: int, ctx: WeilContext) -> Optional[Witness]:
     """First nonzero product of ``size`` factors (repetition allowed), or None.
 
@@ -177,7 +177,7 @@ def _search_multiset_products(factors, size: int, ctx: WeilContext) -> Optional[
     def rec(start: int, labels, prefix):
         need = size - len(labels)
         if need == 0:
-            return _witness_from(labels, prefix)
+            return Witness.of("·".join(labels), prefix)
         pd = 0 if prefix is None else prefix.min_degree()
         for i in range(start, len(items)):
             md, label, el = items[i]
@@ -238,7 +238,7 @@ def find_DN_k_violation(vectors: Sequence[PointVec]) -> Optional[Witness]:
 
     def rec(slot: int, labels, prefix):
         if slot == len(vectors):
-            return _witness_from(labels, prefix)
+            return Witness.of("·".join(labels), prefix)
         pd = 0 if prefix is None else prefix.min_degree()
         if pd + suffix[slot] > maxdeg:
             return None
@@ -317,9 +317,10 @@ def generic_Dk_vector(n: int, k: int, name: str = "d"):
 
 
 def _lift_base(base, n: int) -> list:
+    """A rational base point of dimension ``n`` (the origin when None)."""
     if base is None:
         base = [0] * n
-    base = [Fraction(b) for b in base]
+    base = [_as_fraction(b) for b in base]
     if len(base) != n:
         raise WeilError("base point dimension mismatch")
     return base

@@ -32,7 +32,7 @@ from .weil import (
     make_truncated_context,
 )
 from .weil import sqrt as weil_sqrt
-from .neighborhoods import in_D_k
+from .neighborhoods import _lift_base, in_D_k
 
 #: hard bound on the Taylor truncation order accepted by :func:`taylor_eval`
 MAX_TAYLOR_ORDER = 4
@@ -175,9 +175,6 @@ class Poly:
     def constant_value(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to variable ``i``."""
         out = {}
@@ -231,18 +228,6 @@ class Poly:
             acc = acc + term
         return acc
 
-    def eval_fractions(self, values: Sequence[Scalar]) -> Fraction:
-        if len(values) != self.nvars:
-            raise DimensionMismatchError("wrong number of coordinates")
-        values = [_as_fraction(v) for v in values]
-        acc = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for v, e in zip(values, m):
-                term *= v**e
-            acc += term
-        return acc
-
     def format(self, var_names: Sequence[str]) -> str:
         if not self.terms:
             return "0"
@@ -291,21 +276,6 @@ class PolyMap:
     @classmethod
     def identity(cls, n: int) -> "PolyMap":
         return cls(n, n, [Poly.variable(n, i) for i in range(n)])
-
-    @classmethod
-    def linear(cls, rows: Sequence[Sequence[Scalar]]) -> "PolyMap":
-        m = len(rows)
-        n = len(rows[0])
-        comps = []
-        for row in rows:
-            p = Poly.zero(n)
-            for i, q in enumerate(row):
-                p = p + Poly.variable(n, i) * _as_fraction(q)
-            comps.append(p)
-        return cls(n, m, comps)
-
-    def degree(self) -> int:
-        return max((p.total_degree() for p in self.components), default=0)
 
     def __eq__(self, other):
         return (
@@ -612,10 +582,8 @@ def point_jet(f, base: Sequence[Scalar], in_dim: int, order: int):
     ``f`` may be a PolyMap, an ExprMap, a composite, or any callable on
     points.  Division/sqrt stay exact because the displacement is nilpotent.
     """
+    base = _lift_base(base, in_dim)
     ctx = make_truncated_context([("d", in_dim, order)])
-    base = [_as_fraction(b) for b in base]
-    if len(base) != in_dim:
-        raise DimensionMismatchError("base point dimension mismatch")
     X = PointVec(ctx, tuple(ctx.scalar(b) + ctx.gen(a) for a, b in enumerate(base)))
     Y = _eval_any(f, X)
     value = tuple(y.constant_term for y in Y)

@@ -20,8 +20,7 @@ from .weil import (
     make_truncated_context,
     sqrt,
 )
-from .polymap import Poly, PolyMap, Expr, ExprMap, eval_map, expr_to_poly
-from .polymap import Const, Var, Add, Sub, Mul, Div, Neg, Power, Sqrt
+from .polymap import PolyMap, ExprMap, eval_map, expr_to_poly
 from .neighborhoods import (
     MultilinearForm,
     find_A_k_violation,
@@ -78,7 +77,7 @@ def _build_context(decls) -> tuple:
             blocks.append((d.name, d.nvars, d.degcap))
             pad_left, pad_right = (0,) * start, (0,) * (total - start - d.nvars)
             for poly in d.relations:
-                relations.append({pad_left + tuple(m) + pad_right: c for m, c in poly})
+                relations.append({pad_left + m + pad_right: c for m, c in poly.terms.items()})
         start += d.nvars
     return make_truncated_context(blocks, relations), offsets
 
@@ -160,23 +159,6 @@ def _as_point(v: Value, ctx: WeilContext) -> PointVec:
     return PointVec(ctx, (v,))
 
 
-def _lower_body(node, params) -> Expr:
-    if isinstance(node, dsl.ENum):
-        return Const(node.value)
-    if isinstance(node, dsl.ERef):
-        return Var(params.index(node.name))
-    if isinstance(node, dsl.ENeg):
-        return Neg(_lower_body(node.operand, params))
-    if isinstance(node, dsl.EPow):
-        return Power(_lower_body(node.base, params), node.exponent)
-    if isinstance(node, dsl.ECall):
-        return Sqrt(_lower_body(node.args[0], params))
-    if isinstance(node, dsl.EBin):
-        cls = {"+": Add, "-": Sub, "*": Mul, "/": Div}[node.op]
-        return cls(_lower_body(node.left, params), _lower_body(node.right, params))
-    raise WeilError(f"unsupported construct in map body: {node!r}")
-
-
 def build_env(scenario: dsl.Scenario) -> ScenarioEnv:
     decls = [
         s for s in scenario.statements
@@ -189,17 +171,15 @@ def build_env(scenario: dsl.Scenario) -> ScenarioEnv:
         if isinstance(st, dsl.PointDecl):
             env.points[st.name] = _as_point(_eval_node(st.expr, env, ctx), ctx)
         elif isinstance(st, dsl.MapDecl):
-            exprs = [_lower_body(b, list(st.params)) for b in st.bodies]
-            polys = [expr_to_poly(e, len(st.params)) for e in exprs]
+            polys = [expr_to_poly(e, len(st.params)) for e in st.exprs]
             if all(p is not None for p in polys):
                 env.maps[st.name] = PolyMap(len(st.params), st.out_dim, polys)
             else:
-                env.maps[st.name] = ExprMap(len(st.params), st.out_dim, exprs)
+                env.maps[st.name] = ExprMap(len(st.params), st.out_dim, st.exprs)
         elif isinstance(st, dsl.FormDecl):
             env.forms[st.name] = MultilinearForm(st.arity, st.dim, dict(st.entries))
         elif isinstance(st, dsl.ConnectionDecl):
-            entries = {key: Poly(st.dim, dict(poly)) for key, poly in st.entries}
-            env.connections[st.name] = Connection(st.dim, entries)
+            env.connections[st.name] = Connection(st.dim, dict(st.entries))
         elif isinstance(st, dsl.RetractDecl):
             env.retracts[st.name] = RetractPair(env.maps[st.iota], env.maps[st.r])
     return env

@@ -395,10 +395,7 @@ def crit_symmetric_obstruction(report: CheckReport, grid: str, seed: int) -> Non
                     for idx, phi in enumerate(forms):
                         val = (eval_form(phi, [Ju, Ju, Hvv]) - eval_form(phi, [Jv, Jv, Huu])) * half
                         if not val.is_zero():
-                            mono, coeff = val.leading_witness()
-                            return Witness(
-                                f"J={Jm}, H-basis=({comp},{a},{b}), phi#{idx}", mono, coeff
-                            )
+                            return Witness.of(f"J={Jm}, H-basis=({comp},{a},{b}), phi#{idx}", val)
         return None
 
     report.run("disc-symmetric-forms/search", "obstruction-search", search)
@@ -435,8 +432,7 @@ def crit_symmetric_obstruction(report: CheckReport, grid: str, seed: int) -> Non
                 rhs = eval_form(phi, [Ju, Jv, Huv]) * Fraction(-2)
                 d = lhs - rhs
                 if not d.is_zero():
-                    mono, coeff = d.leading_witness()
-                    return Witness(f"phi#{idx}: phi(Ju,Ju,Hvv) + 2 phi(Ju,Jv,Huv)", mono, coeff)
+                    return Witness.of(f"phi#{idx}: phi(Ju,Ju,Hvv) + 2 phi(Ju,Jv,Huv)", d)
         return None
 
     report.run("disc-symmetric-forms/congruence", "obstruction-congruence", congruence)
@@ -457,8 +453,7 @@ def crit_symmetric_obstruction(report: CheckReport, grid: str, seed: int) -> Non
                     for phi in forms:
                         val = (eval_form(phi, [Ju, Ju, Hvv]) - eval_form(phi, [Jv, Jv, Huu])) * half
                         if not val.is_zero():
-                            mono, coeff = val.leading_witness()
-                            return Witness("nonzero in the full model", mono, coeff)
+                            return Witness.of("nonzero in the full model", val)
             # the same maps still preserve second-order i-tuples (criterion 1 there)
             f = random_polymap(rng, 2, 2, 3)
             w = find_A_k_violation([eval_map(f, P) for P in fpts], 2)
@@ -474,15 +469,13 @@ def crit_symmetric_obstruction(report: CheckReport, grid: str, seed: int) -> Non
             return Witness("u1^2 v2 vanished in the symmetric-only model", "u1^2*v2", Fraction(0))
         rel = u[0] * u[0] * v[1] + u[0] * u[1] * v[0] * 2
         if not rel.is_zero():
-            mono, coeff = rel.leading_witness()
-            return Witness("symmetrized relation survived", mono, coeff)
+            return Witness.of("symmetrized relation survived", rel)
         _, fpts = generic_Ak_tuple(2, 2, 3)
         fu = fpts[1] - fpts[0]
         fv = fpts[2] - fpts[0]
         dead = fu[0] * fu[0] * fv[1]
         if not dead.is_zero():
-            mono, coeff = dead.leading_witness()
-            return Witness("degree-3 monomial survived the full model", mono, coeff)
+            return Witness.of("degree-3 monomial survived the full model", dead)
         return None
 
     report.run("disc-symmetric-forms/model-separation", "obstruction-separation", separation)
@@ -501,8 +494,7 @@ def crit_symmetric_obstruction(report: CheckReport, grid: str, seed: int) -> Non
             for phi in forms:
                 val = (eval_form(phi, [Ju, Ju, Hvv]) - eval_form(phi, [Jv, Jv, Huu])) * half
                 if not val.is_zero():
-                    mono, coeff = val.leading_witness()
-                    return Witness("nonzero along the derivative-tensor route", mono, coeff)
+                    return Witness.of("nonzero along the derivative-tensor route", val)
         return None
 
     report.run("disc-symmetric-forms/derivative-path", "obstruction-derivative", derivative_path)

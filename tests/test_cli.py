@@ -80,6 +80,15 @@ def test_check_bare_quotient_name_exit_2(tmp_path, capsys):
     assert "expected an indexed generator like u[1], found u" in err
 
 
+def test_check_tuple_map_body_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "block d vars 1 cap 1\nmap f(x) -> 1 { (x, x) }\n")
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}:2:17: ")
+    assert "expected a scalar expression, found (" in err
+
+
 def test_check_setup_fault_exit_2(tmp_path, capsys):
     path = write(tmp_path, "block e vars 1 cap 1\npoint P = (1/0,)\ncheck in-Dk (P) k=1\n")
     code, out, err = run_main(capsys, "check", path)

@@ -5,10 +5,19 @@ scenario, and every rejected file must carry a 1-based position at the point
 of failure together with an expected/found pair.
 """
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from weilaff import (
+    Const,
+    Div,
     ParseError,
+    Poly,
+    Sqrt,
+    Var,
+    expr_to_poly,
     parse_expression,
     parse_scenario,
     render_expr,
@@ -145,6 +154,20 @@ def test_map_single_output():
     assert render_expr(decl.bodies[0]) == "x^2 + 3/2 * y"
 
 
+def test_declarations_carry_polymap_objects():
+    s = parse_scenario(FULL)
+    decls = {st.name: st for st in s.statements if hasattr(st, "name")}
+    assert decls["q"].relations[1] == Poly(2, {(1, 1): 2})
+    assert dict(decls["gamma"].entries)[(1, 0, 1)] == Poly.constant(2, 3)
+    f = decls["f"]
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    assert [expr_to_poly(e, 2) for e in f.exprs] == [x + y ** 2, y + x * Fraction(3, 2)]
+    # the lowering rides along outside equality
+    assert replace(f, exprs=()) == f
+    sq = parse_scenario("map h(x) -> 1 { sqrt(x) / 2 }").statements[0]
+    assert sq.exprs == (Div(Sqrt(Var(0)), Const(Fraction(2))),)
+
+
 def test_sqrt_allowed_in_map_bodies_only():
     parse_scenario("map f(x) -> 1 { sqrt(x) }")
     with pytest.raises(ParseError):
@@ -225,6 +248,17 @@ REJECTS = [
         "quotient q vars 2 degcap 2 relations { q[1]*q[2] + q[1]*v[1] }",
         2, 57, "this declaration's own generators", "v",
     ),
+    # division by a non-constant, or an undeclared bare name, fails at the body
+    (
+        "quotient q vars 2 degcap 2 relations { q[1]*q[2]/q[1] }",
+        1, 40, "division by a nonzero constant", "q",
+    ),
+    (
+        "connection c dim 2 { GAMMA[1][1,2] = x1 + y }",
+        1, 38, "a polynomial in the declared variables", "x1",
+    ),
+    # a map body is one scalar per component, never a tuple
+    ("block d vars 1 cap 1\nmap f(x) -> 1 { (x, x) }", 2, 17, "a scalar expression", "("),
 ]
 
 

@@ -579,3 +579,17 @@ def test_idempotent_identities_flag_moving_point():
     by_name = {e.name.split("/")[-1]: e for e in rep.entries}
     assert by_name["fixed-point"].status == "fail"
     assert by_name["fixed-point"].witness["coefficient"] == "-1"
+
+
+def test_idempotent_identities_flag_tangential_curvature():
+    # e(x, y) = (x, y + x^2) fixes the origin with De = I but bends the
+    # tangent: D2e[u, u] = (0, 2 d1^2) survives De, while first-order d dies
+    x, y = xy_polys()
+    e = PolyMap(2, 2, [x, y + x * x])
+    rep = check_idempotent_identities(RetractPair.from_idempotent(e), (0, 0))
+    by_name = {e.name.split("/")[-1]: e for e in rep.entries}
+    assert by_name["tangential-kill"].status == "fail"
+    assert by_name["tangential-kill"].witness == {
+        "location": "De(D2e[u,u])[2]", "monomial": "d1^2", "coefficient": "2",
+    }
+    assert by_name["first-order-kill"].status == "pass"

@@ -16,6 +16,7 @@ from weilaff import (
     MultilinearForm,
     PointVec,
     WeilError,
+    Witness,
     coordinate_form,
     coordinate_product_basis,
     determinant_form,
@@ -151,6 +152,12 @@ def test_witness_as_dict():
     v = PointVec(c, (c.gen(0), c.gen(1)))
     d = find_D_k_violation(v, 1).as_dict()
     assert d == {"location": d["location"], "monomial": "a·b", "coefficient": "1"}
+
+
+def test_witness_of_reads_the_least_surviving_monomial():
+    c = two_blocks()
+    w = Witness.of("loc", c.gen(1) * 3 + c.gen(0) * c.gen(1))
+    assert w == Witness("loc", "b", Fraction(3))
 
 
 def test_zero_vector_in_every_Dk():
@@ -361,6 +368,15 @@ def test_generic_Ak_tuple_with_base_offset():
     diffs_match = [(pts[j] - pts[0]).coords for j in (1, 2)]
     c0, pts0 = generic_Ak_tuple(2, 1, 3)
     assert [(pts0[j] - pts0[0]).coords for j in (1, 2)] == diffs_match
+
+
+def test_generic_models_reject_inexact_bases():
+    # 0.1 is not exactly 1/10; a float base must not become a binary rational
+    for build in (generic_Ak_tuple, generic_symmetric_Ak_tuple):
+        with pytest.raises(TypeError):
+            build(1, 1, 2, base=[0.1])
+        with pytest.raises(TypeError):
+            build(1, 1, 2, base=["1/10"])
 
 
 def test_linear_image_of_generic_tuple_stays_close():
