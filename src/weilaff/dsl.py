@@ -413,13 +413,9 @@ class _Parser:
         line = self.advance().line
         name_tok = self.expect("NAME", "a block name")
         self.expect_word("vars")
-        nvars = self.expect_int()
+        nvars = self.positive_int("vars >= 1")
         self.expect_word("cap")
-        cap = self.expect_int()
-        if nvars < 1:
-            self.fail("vars >= 1", name_tok)
-        if cap < 1:
-            self.fail("cap >= 1", name_tok)
+        cap = self.positive_int("cap >= 1")
         self.declare(name_tok, _Sym("block", nvars))
         return BlockDecl(name_tok.value, nvars, cap, line=line)
 
@@ -427,13 +423,9 @@ class _Parser:
         line = self.advance().line
         name_tok = self.expect("NAME", "a quotient name")
         self.expect_word("vars")
-        nvars = self.expect_int()
+        nvars = self.positive_int("vars >= 1")
         self.expect_word("degcap")
-        degcap = self.expect_int()
-        if nvars < 1:
-            self.fail("vars >= 1", name_tok)
-        if degcap < 1:
-            self.fail("degcap >= 1", name_tok)
+        degcap = self.positive_int("degcap >= 1")
         # declared before its relations so q[1]*q[2] can reference q itself
         self.declare(name_tok, _Sym("quotient", nvars))
         self.expect_word("relations")
@@ -467,9 +459,7 @@ class _Parser:
         if len(set(params)) != len(params):
             self.fail("distinct parameter names", name_tok)
         self.expect("->")
-        out_dim = self.expect_int("the output dimension")
-        if out_dim < 1:
-            self.fail("output dimension >= 1", name_tok)
+        out_dim = self.positive_int("output dimension >= 1", "the output dimension")
         self.expect("{")
         env = {p: i for i, p in enumerate(params)}
         bodies = [self.map_body(env)]
@@ -488,11 +478,9 @@ class _Parser:
         line = self.advance().line
         name_tok = self.expect("NAME", "a form name")
         self.expect_word("arity")
-        arity = self.expect_int()
+        arity = self.positive_int("arity >= 1")
         self.expect_word("dim")
-        dim = self.expect_int()
-        if arity < 1 or dim < 1:
-            self.fail("arity >= 1 and dim >= 1", name_tok)
+        dim = self.positive_int("dim >= 1")
         self.expect("{")
         entries = {}
         while self.peek().type == "[":
@@ -520,9 +508,7 @@ class _Parser:
         line = self.advance().line
         name_tok = self.expect("NAME", "a connection name")
         self.expect_word("dim")
-        dim = self.expect_int()
-        if dim < 1:
-            self.fail("dim >= 1", name_tok)
+        dim = self.positive_int("dim >= 1")
         varmap = {f"x{j}": j - 1 for j in range(1, dim + 1)}
         self.expect("{")
         entries = {}
@@ -692,11 +678,15 @@ class _Parser:
     def k_param(self) -> int:
         self.expect_word("k")
         self.expect("=")
+        return self.positive_int("an order k >= 1", "an order k >= 1")
+
+    def positive_int(self, expected: str, what: str = "an integer") -> int:
+        """An integer token; below 1 it fails at that token with ``expected``."""
         tok = self.peek()
-        k = self.expect_int("an order k >= 1")
-        if k < 1:
-            self.fail("an order k >= 1", tok)
-        return k
+        value = self.expect_int(what)
+        if value < 1:
+            self.fail(expected, tok)
+        return value
 
     def vector_list(self):
         """Parenthesized `;`-separated VECEXPRs; returns (tuple, common dim)."""

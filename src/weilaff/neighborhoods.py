@@ -163,8 +163,8 @@ def _search_multiset_products(factors, size: int, ctx: WeilContext) -> Optional[
     """First nonzero product of ``size`` factors (repetition allowed), or None.
 
     ``factors`` is a list of (label, element).  Factors are sorted by minimal
-    degree so that a partial product whose degree bound already exceeds the
-    context cap prunes every extension at once.
+    degree so that a partial product whose degree bound already reaches a
+    degree where everything vanishes prunes every extension at once.
     """
     items = []
     for label, el in factors:
@@ -172,7 +172,6 @@ def _search_multiset_products(factors, size: int, ctx: WeilContext) -> Optional[
         if md is not None:
             items.append((md, label, el))
     items.sort(key=lambda t: t[0])
-    maxdeg = ctx.max_degree
 
     def rec(start: int, labels, prefix):
         need = size - len(labels)
@@ -181,7 +180,7 @@ def _search_multiset_products(factors, size: int, ctx: WeilContext) -> Optional[
         pd = 0 if prefix is None else prefix.min_degree()
         for i in range(start, len(items)):
             md, label, el = items[i]
-            if pd + md * need > maxdeg:
+            if ctx.vanishes_from(pd + md * need):
                 break  # items are sorted: every later factor is at least as deep
             prod = el if prefix is None else prefix * el
             if prod.is_zero():
@@ -223,7 +222,6 @@ def find_DN_k_violation(vectors: Sequence[PointVec]) -> Optional[Witness]:
             raise WeilError("all vectors must share one dimension")
         if not in_D_k(v, k):
             raise WeilError(f"vector {j + 1} is not in D_{k}; DN_{k} is undefined on it")
-    maxdeg = ctx.max_degree
     slot_min = []
     for v in vectors:
         mds = [v[a].min_degree() for a in range(dim)]
@@ -240,7 +238,7 @@ def find_DN_k_violation(vectors: Sequence[PointVec]) -> Optional[Witness]:
         if slot == len(vectors):
             return Witness.of("·".join(labels), prefix)
         pd = 0 if prefix is None else prefix.min_degree()
-        if pd + suffix[slot] > maxdeg:
+        if ctx.vanishes_from(pd + suffix[slot]):
             return None
         v = vectors[slot]
         for a in range(dim):

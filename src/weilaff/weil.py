@@ -9,7 +9,13 @@ Cross-block degrees are only limited by the per-block caps, so ``eps1*delta1``
 survives caps (1, 1).  On top of the caps a context may carry homogeneous
 polynomial relations; each graded component is then reduced modulo the span
 of ``relation * monomial`` over the monomials the caps leave alive, via a
-cached reduced row echelon basis.
+cached reduced row echelon basis.  A degree in which every such monomial has
+a divisor of one degree less that is a pivot there is full, and its basis is
+the identity, built without elimination (the leading monomials of the
+degree below, times the generators, cover it).  Every higher degree is then
+full too, so the context knows the degree from which everything vanishes:
+products stop there, and :meth:`WeilContext.vanishes_from` lets the
+neighbourhood searches prune against it.
 
 :func:`make_truncated_context` builds the general case from blocks (plus
 optional relations); :func:`make_quotient_context` is one block covering
@@ -27,6 +33,7 @@ touches floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import add as _add
@@ -65,17 +72,16 @@ def _as_fraction(q: Scalar) -> Fraction:
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterable[Monomial]:
-    """Yield every exponent tuple over ``nvars`` variables of total degree ``degree``."""
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (degree,)
-        return
-    for head in range(degree, -1, -1):
-        for tail in monomials_of_degree(nvars - 1, degree - head):
-            yield (head,) + tail
+    """Yield every exponent tuple over ``nvars`` variables of total degree
+    ``degree``, largest first."""
+    # the multisets of variables in lexicographic order are the exponent
+    # tuples in descending order
+    zero = [0] * nvars
+    for picks in itertools.combinations_with_replacement(range(nvars), degree):
+        exps = zero[:]
+        for i in picks:
+            exps[i] += 1
+        yield tuple(exps)
 
 
 class Block:
@@ -102,7 +108,7 @@ class WeilContext:
 
     __slots__ = (
         "names", "blocks", "relations", "degree_cap", "_binding", "_sig", "_zero_mono",
-        "_bases", "_ideal",
+        "_bases", "_ideal", "_top",
     )
 
     def __init__(self, names: tuple, blocks: tuple, relations: tuple):
@@ -123,6 +129,10 @@ class WeilContext:
         # the identical value, so a race merely duplicates work)
         self._bases = {}
         self._ideal = None
+        # every degree above this one vanishes; it drops when a basis turns
+        # out full and never rises, so any value it has held is a valid bound
+        # and a race merely costs work
+        self._top = self.degree_cap
 
     # -- identity ---------------------------------------------------------
 
@@ -144,6 +154,7 @@ class WeilContext:
             self._ideal = tuple(
                 tuple(sorted((p, tuple(sorted(row.items())))
                              for p, (_, row) in self._degree_basis(d).items()))
+                if self.relations else ()
                 for d in range(1, self.degree_cap + 1)
             )
         return self._ideal
@@ -160,8 +171,22 @@ class WeilContext:
 
     @property
     def max_degree(self) -> int:
-        """Total degree beyond which every monomial vanishes."""
+        """The caps' bound: every monomial of higher total degree vanishes.
+        Relations may kill every monomial from a lower degree on;
+        :meth:`vanishes_from` gives that degree exactly."""
         return self.degree_cap
+
+    def vanishes_from(self, degree: int) -> bool:
+        """True when every monomial of total degree ``degree`` is zero in the
+        algebra, and so every monomial of higher degree.  Builds relation
+        bases only up to ``degree``; without relations this is
+        ``degree > degree_cap``."""
+        if degree > self._top:
+            return True
+        if not self.relations or degree < 1:
+            return False
+        self._degree_basis(degree)
+        return degree > self._top
 
     # -- element constructors ----------------------------------------------
 
@@ -223,6 +248,11 @@ class WeilContext:
         """The element ``num / den``, given integer numerators on monomials
         the caps leave alive: relations reduced, common factor removed."""
         if self.relations and num:
+            # terms above the known top vanish: drop them before any basis
+            # lookup, so that none is built for their degree
+            top = self._top
+            if any(sum(m) > top for m in num):
+                num = {m: c for m, c in num.items() if sum(m) <= top}
             hits = []
             for m, c in num.items():
                 d = sum(m)
@@ -242,26 +272,69 @@ class WeilContext:
         integer vector with a positive coefficient on its pivot (its largest
         monomial) and zero on every other pivot: the unique reduced basis
         over Q, each row scaled to integers, so equal spans give equal bases.
-        The elimination is fraction-free (as in Bareiss 1968, with rows
-        divided by their content where Bareiss divides by the previous pivot).
 
         The caps generate a monomial ideal M, and the leading monomials of
         ``J_d + M_d`` are ``M_d`` together with those of J_d projected off
         M_d, so this basis reduces exactly as one that listed the caps as
-        monomial relations would."""
+        monomial relations would.
+
+        Cover test: the order on exponent tuples is a monomial order, so a
+        row of degree d-1 with pivot p, times a generator x_i, lies in the
+        span with leading monomial p + e_i (the caps drop only smaller
+        terms).  When every alive monomial of degree d has such a divisor
+        among the pivots of degree d-1, these rows span the whole degree:
+        it is full, and its reduced basis is the identity
+        ``{m: (1, {m: 1})}``, built with no elimination.  A full degree, found
+        either way, lowers ``_top`` below it.  Degrees are built from the
+        bottom up, since the test reads the degree below."""
         basis = self._bases.get(degree)
-        if basis is not None:
-            return basis
+        if basis is None:
+            for d in range(1, degree + 1):
+                if d not in self._bases:
+                    self._bases[d] = self._build_basis(d)
+            basis = self._bases[degree]
+        return basis
+
+    def _alive(self, degree: int) -> list:
+        """The monomials of total degree ``degree`` that the caps leave alive."""
+        monos = monomials_of_degree(self.ngens, degree)
+        if self._binding:
+            return [m for m in monos if not self.monomial_is_zero(m)]
+        return list(monos)
+
+    def _build_basis(self, degree: int) -> dict:
+        alive = self._alive(degree)
+        below = self._bases.get(degree - 1)
+        if below is not None and all(
+            any(e and m[:i] + (e - 1,) + m[i + 1:] in below for i, e in enumerate(m))
+            for m in alive
+        ):
+            basis = {m: (1, {m: 1}) for m in alive}
+        else:
+            basis = self._eliminate(degree, len(alive))
+        if len(basis) == len(alive):  # full: so is every higher degree
+            self._top = min(self._top, degree - 1)
+        return basis
+
+    def _eliminate(self, degree: int, full: int) -> dict:
+        """The reduced basis of one degree by fraction-free elimination of
+        relation x shift rows (as in Bareiss 1968, with rows divided by their
+        content where Bareiss divides by the previous pivot).  Stops once the
+        rank reaches ``full``, the number of alive monomials."""
         capped = self.monomial_is_zero if self._binding else None
+        shifts = {}  # shift degree -> alive monomials of that degree
         basis = {}
+        cols = {}  # monomial -> pivots of the basis rows nonzero on it
         for rel in self.relations:
             rel_deg = sum(next(iter(rel)))  # relations are homogeneous
             if rel_deg > degree:
                 continue
             rel = _primitive(_over_common_denominator(rel)[0])
-            for shift in monomials_of_degree(self.ngens, degree - rel_deg):
-                if capped and capped(shift):  # so is every multiple of it
-                    continue
+            sd = degree - rel_deg
+            if sd not in shifts:
+                # a capped shift needs no row: so is every multiple of it
+                shifts[sd] = self._alive(sd)
+            for shift in shifts[sd]:
                 # adding one shift is injective, so no two terms collide
                 row = {}
                 for m, c in rel.items():
@@ -276,13 +349,19 @@ class WeilContext:
                 row = _primitive(row)
                 pivot = max(row)
                 pc = row[pivot]
-                for p, (_, brow) in list(basis.items()):
-                    c = brow.get(pivot)
-                    if c:
-                        brow = _primitive(_reduce_at_degree(brow, [(c, (pc, row))])[0])
-                        basis[p] = (brow[p], brow)
+                for p in list(cols.get(pivot, ())):
+                    old = basis[p][1]
+                    brow = _primitive(_reduce_at_degree(old, [(old[pivot], (pc, row))])[0])
+                    basis[p] = (brow[p], brow)
+                    for m in old.keys() - brow.keys():
+                        cols[m].discard(p)
+                    for m in brow.keys() - old.keys():
+                        cols.setdefault(m, set()).add(p)
                 basis[pivot] = (pc, row)
-        self._bases[degree] = basis
+                for m in row:
+                    cols.setdefault(m, set()).add(pivot)
+                if len(basis) == full:
+                    return basis
         return basis
 
     # -- display -------------------------------------------------------------
@@ -538,10 +617,9 @@ class WeilElement:
             return other._scaled(a[zero], self.den)
         # the right factor's terms in order of degree; ends[r] counts those of
         # degree at most r, so a left term of degree d meets exactly the
-        # first ends[cap - d] of them and no pair is visited to be rejected
-        # by the total cap
-        cap = ctx.degree_cap
-        graded = [[] for _ in range(cap + 1)]
+        # first ends[top - d] of them and no pair is visited to be rejected
+        # by the known top degree (at most the total cap)
+        graded = [[] for _ in range(ctx.degree_cap + 1)]
         for m, c in b.items():
             graded[sum(m)].append((m, c))
         right = []
@@ -549,10 +627,14 @@ class WeilElement:
         for terms in graded:
             right.extend(terms)
             ends.append(len(right))
+        top = ctx._top
         binding = ctx._binding
         out = {}
         for m1, c1 in a.items():
-            for m2, c2 in right[: ends[cap - sum(m1)]]:
+            room = top - sum(m1)
+            if room < 0:
+                continue
+            for m2, c2 in right[: ends[room]]:
                 key = tuple(map(_add, m1, m2))
                 if binding and any(sum(key[lo:hi]) > bc for lo, hi, bc in binding):
                     continue

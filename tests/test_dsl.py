@@ -259,6 +259,15 @@ REJECTS = [
     ),
     # a map body is one scalar per component, never a tuple
     ("block d vars 1 cap 1\nmap f(x) -> 1 { (x, x) }", 2, 17, "a scalar expression", "("),
+    # a size out of range is reported at its own integer, not at the name
+    ("block d vars 0 cap 1", 1, 14, "vars >= 1", "0"),
+    ("block d vars 1 cap 0", 1, 20, "cap >= 1", "0"),
+    ("quotient u vars 0 degcap 2 relations { u[1]*u[1] }", 1, 17, "vars >= 1", "0"),
+    ("quotient u vars 2 degcap 0 relations { u[1]*u[1] }", 1, 26, "degcap >= 1", "0"),
+    ("map f(x) -> 0 { x }", 1, 13, "output dimension >= 1", "0"),
+    ("form f arity 0 dim 2 { }", 1, 14, "arity >= 1", "0"),
+    ("form f arity 2 dim 0 { }", 1, 20, "dim >= 1", "0"),
+    ("connection c dim 0 { }", 1, 18, "dim >= 1", "0"),
 ]
 
 

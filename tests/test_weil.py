@@ -1,5 +1,6 @@
 """Core algebra: contexts, ring ops, inversion, sqrt, matrices, quotients."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,11 +16,13 @@ from weilaff import (
     SingularMatrixError,
     WeilError,
     generic_nilsquare_tuple,
+    generic_symmetric_Ak_tuple,
     invert,
     make_quotient_context,
     make_truncated_context,
     mat_inverse,
     mat_mul,
+    monomials_of_degree,
     sqrt,
 )
 
@@ -593,3 +596,184 @@ def test_a_different_ideal_is_a_different_context():
     assert make_quotient_context(b.names, nilsquare_relations(2, 3), 4) != b
     scaled = [{m: c * -3 for m, c in rel.items()} for rel in nilsquare_relations(2, 3)]
     assert make_quotient_context(b.names, scaled, 3) == b
+
+
+# -- the degree from which a quotient vanishes ------------------------------------------
+
+QUOTIENT_MODELS = {
+    "nilsquare-2-3": lambda: generic_nilsquare_tuple(2, 3)[0],
+    "nilsquare-3-3": lambda: generic_nilsquare_tuple(3, 3)[0],
+    "nilsquare-2-4": lambda: generic_nilsquare_tuple(2, 4)[0],
+    "nilsquare-3-4": lambda: generic_nilsquare_tuple(3, 4)[0],
+    "symmetric-2-2-3-cap4": lambda: generic_symmetric_Ak_tuple(2, 2, 3, degree_cap=4)[0],
+    "symmetric-3-2-3": lambda: generic_symmetric_Ak_tuple(3, 2, 3)[0],
+}
+_MODEL_CONTEXTS = {}
+
+
+def _model(name):
+    if name not in _MODEL_CONTEXTS:
+        _MODEL_CONTEXTS[name] = QUOTIENT_MODELS[name]()
+    return _MODEL_CONTEXTS[name]
+
+
+def _of_degree(ngens, d):
+    out = []
+    for picks in itertools.combinations_with_replacement(range(ngens), d):
+        m = [0] * ngens
+        for i in picks:
+            m[i] += 1
+        out.append(tuple(m))
+    return out
+
+
+def _up_to(ngens, cap):
+    return [m for d in range(cap + 1) for m in _of_degree(ngens, d)]
+
+
+@pytest.mark.parametrize("nvars, degree", [(0, 0), (0, 2), (1, 3), (3, 0), (4, 3), (9, 4)])
+def test_monomials_of_degree_largest_first(nvars, degree):
+    want = sorted(_of_degree(nvars, degree), reverse=True)
+    assert list(monomials_of_degree(nvars, degree)) == want
+
+
+RELATION_FREE = {
+    "truncated": lambda: make_truncated_context([("e", 3, 2)]),
+    "mixed-blocks": lambda: make_truncated_context([("a", 2, 1), ("b", 2, 2)]),
+    "cap-zero-block": lambda: make_truncated_context([("a", 1, 0), ("b", 2, 1)]),
+    "quotient-without-relations": lambda: make_quotient_context(["s", "t"], [], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELATION_FREE))
+def test_without_relations_everything_vanishes_just_above_the_cap(case):
+    ctx = RELATION_FREE[case]()
+    assert [ctx.vanishes_from(d) for d in range(ctx.max_degree + 3)] == [
+        d > ctx.max_degree for d in range(ctx.max_degree + 3)
+    ]
+    x = ctx.one()
+    for g in ctx.gens():
+        x = x + g
+    assert not (x ** ctx.max_degree - 1).is_zero()
+    assert ctx._bases == {}  # no relation basis is ever built
+
+
+@pytest.mark.parametrize(
+    "model", ["nilsquare-2-3", "nilsquare-3-3", "nilsquare-2-4", "symmetric-2-2-3-cap4"]
+)
+def test_vanishing_degree_matches_membership(model):
+    ctx = QUOTIENT_MODELS[model]()
+    member = ideal_membership(ctx.relations, ctx.ngens, ctx.max_degree)
+    degrees = range(ctx.max_degree + 2)
+    want = [all(member({m: Fraction(1)}) for m in _of_degree(ctx.ngens, d)) for d in degrees]
+    # asked from the top down on one fresh context, from the bottom up on another
+    top_down = {d: ctx.vanishes_from(d) for d in reversed(degrees)}
+    fresh = QUOTIENT_MODELS[model]()
+    assert [top_down[d] for d in degrees] == want == [fresh.vanishes_from(d) for d in degrees]
+
+
+def test_vanishing_degree_under_binding_caps(mixed_member):
+    c = make_truncated_context(MIXED_BLOCKS, MIXED_RELS)
+    degrees = range(MIXED_CAP + 2)
+    want = [all(mixed_member({m: Fraction(1)}) for m in _of_degree(6, d)) for d in degrees]
+    assert [c.vanishes_from(d) for d in degrees] == want
+
+
+def test_nilsquare_3_4_dies_below_its_cap():
+    ctx = generic_nilsquare_tuple(3, 4)[0]
+    assert ctx.max_degree == 4
+    # degree 4 is found full first, and that must not cut degree 3
+    assert ctx.vanishes_from(4) and not ctx.vanishes_from(3)
+    kept = {m for mono in _of_degree(ctx.ngens, 3) for m in ctx.element({mono: 1}).num}
+    assert len(kept) == 1
+    assert all(ctx.element({mono: 1}).is_zero() for mono in _of_degree(ctx.ngens, 4))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_products_hold_no_term_where_everything_vanishes(data):
+    ctx = _model(data.draw(st.sampled_from(sorted(QUOTIENT_MODELS))))
+    monos = _of_degree(ctx.ngens, 1) + _of_degree(ctx.ngens, 2)
+    draw = st.dictionaries(st.sampled_from(monos), _COEFF, min_size=1, max_size=6).map(ctx.element)
+    x, y, z = data.draw(draw), data.draw(draw), data.draw(draw)
+    for p in (x * y, x * y * z, (x + y) ** 2):
+        assert not any(ctx.vanishes_from(sum(m)) for m in p.num)
+
+
+# -- sympy as a second oracle for quotient normal forms ------------------------------------
+
+
+def _grlex(ctx):
+    """The reduced Groebner basis of the relations in sympy, order grlex with
+    x0 > x1 > ...: within one degree that is Python's order on exponent
+    tuples, so below the cap its normal forms are the context's.  Returns
+    (normal form of a dict, leading monomials of the basis)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+
+    R = ring([f"x{i}" for i in range(ctx.ngens)], sympy.QQ, sympy.grlex)[0]
+
+    def poly(terms):
+        return R.from_dict({m: sympy.QQ(c.numerator, c.denominator) for m, c in terms.items()})
+
+    basis = [poly(dict(g.terms())) for g in sympy.groebner(
+        [poly(r).as_expr() for r in ctx.relations], *R.symbols, order="grlex", domain="QQ"
+    ).polys]
+
+    def normal_form(raw):
+        rest = poly(raw).rem(basis)
+        return {
+            m: Fraction(int(c.numerator), int(c.denominator))
+            for m, c in rest.items() if sum(m) <= ctx.max_degree
+        }
+
+    return normal_form, [g.LM for g in basis]
+
+
+_NONZERO = _COEFF.filter(bool)
+
+
+def _assert_matches_sympy(ctx, rng, sparse):
+    normal_form, leading = _grlex(ctx)
+    monos = _up_to(ctx.ngens, ctx.max_degree)
+    # one element on every monomial checks them all at once (reduction is
+    # linear), and sparse ones check elements as products make them
+    dense = {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for m in monos}
+    for raw in [dense] + sparse:
+        assert ctx.element(raw).coeffs == normal_form(raw)
+    # a degree vanishes exactly when the leading monomials cover it
+    for d in range(ctx.max_degree + 2):
+        covered = all(
+            any(all(a >= b for a, b in zip(m, lm)) for lm in leading)
+            for m in _of_degree(ctx.ngens, d)
+        )
+        assert ctx.vanishes_from(d) == (covered or d > ctx.max_degree)
+
+
+@pytest.mark.parametrize("model", sorted(QUOTIENT_MODELS))
+def test_model_normal_forms_against_sympy(model):
+    ctx = QUOTIENT_MODELS[model]()
+    rng = random.Random(5)
+    monos = _up_to(ctx.ngens, ctx.max_degree)
+    sparse = [
+        {rng.choice(monos): Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(6)}
+        for _ in range(3)
+    ]
+    _assert_matches_sympy(ctx, rng, sparse)
+
+
+def _homogeneous(n):
+    return st.integers(2, 3).flatmap(
+        lambda d: st.dictionaries(st.sampled_from(_of_degree(n, d)), _NONZERO, min_size=1, max_size=3)
+    )
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.data())
+def test_random_quotient_normal_forms_against_sympy(data):
+    n = data.draw(st.integers(3, 4))
+    rels = data.draw(st.lists(_homogeneous(n), min_size=1, max_size=4))
+    ctx = make_quotient_context([f"x{i}" for i in range(n)], rels, data.draw(st.integers(3, 4)))
+    monos = _up_to(n, ctx.max_degree)
+    sparse = data.draw(st.lists(st.dictionaries(st.sampled_from(monos), _NONZERO, max_size=6), max_size=3))
+    _assert_matches_sympy(ctx, random.Random(data.draw(st.integers(0, 99))), sparse)
