@@ -98,6 +98,14 @@ from .dsl import (
     render_scenario,
 )
 from .runner import build_env, evaluate_expression, format_value, run_scenario
-from .selftest import run_selftest
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the self-test suite loads on first use, not with the package (PEP 562)
+    if name == "run_selftest":
+        from .selftest import run_selftest
+
+        return run_selftest
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ from typing import Optional
 from .dsl import ParseError, parse_scenario
 from .report import CheckReport
 from .runner import build_env, evaluate_expression, format_value, run_scenario
-from .selftest import run_selftest
 
 
 def _emit(report: CheckReport, as_json: bool) -> None:
@@ -48,6 +47,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # imported here: ``check`` and ``eval`` never load the suite
+    from .selftest import run_selftest
+
     report = run_selftest(grid=args.grid, seed=args.seed)
     _emit(report, args.json)
     return report.exit_code()

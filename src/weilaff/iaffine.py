@@ -32,6 +32,7 @@ from .weil import (
     WeilElement,
     WeilError,
     _as_fraction,
+    _lincomb,
     make_truncated_context,
     mat_inverse,
 )
@@ -101,10 +102,13 @@ def weighted_point_sum(weights: AffineWeights, points: Sequence[PointVec]) -> Po
         )
     if not points:
         raise WeilError("cannot combine an empty tuple")
-    acc = weights[0] * points[0]
-    for lam, P in zip(weights.values[1:], list(points)[1:]):
-        acc = acc + lam * P
-    return acc
+    first = points[0]
+    for P in points[1:]:
+        first._check(P)
+    ctx = first.context
+    return PointVec(ctx, tuple(
+        _lincomb(ctx, zip(weights.values, (P[a] for P in points))) for a in range(first.dim)
+    ))
 
 
 def difference_witness(A: PointVec, B: PointVec, location: str) -> Optional[Witness]:
@@ -167,12 +171,12 @@ class BilinearMap:
                     prods[(a, b)] = p
         coords = []
         for i in range(self.dim):
-            acc = ctx.zero()
+            pairs = []
             for (a, b), p in prods.items():
                 e = self.entry(i, a, b)
                 if e is not None and not e.is_zero():
-                    acc = acc + e * p
-            coords.append(acc)
+                    pairs.append((1, e * p))
+            coords.append(_lincomb(ctx, pairs))
         return PointVec(ctx, tuple(coords))
 
 
@@ -294,10 +298,7 @@ def pullback_connection(c: Connection, iota: PolyMap, P: PointVec) -> BilinearMa
                 ctx, tuple(t - H.entry(i, (a, b)) for i, t in enumerate(target))
             )
             for i in range(n):
-                acc = ctx.zero()
-                for j in range(n):
-                    acc = acc + Jinv[i][j] * target[j]
-                out[(i, (a, b))] = acc
+                out[(i, (a, b))] = _lincomb(ctx, ((1, Jinv[i][j] * target[j]) for j in range(n)))
     return BilinearMap(n, out)
 
 
@@ -676,19 +677,17 @@ def check_idempotent_identities(
         v = vector(ctx.point(base), PointVec(ctx, tuple(ctx.gens())))
         hv = []
         for p in range(n):
-            acc = ctx.zero()
+            pairs = []
             for a in range(n):
                 if v[a].is_zero():
                     continue
                 for b in range(n):
                     q = hess(p, a, b)
                     if q:
-                        acc = acc + (v[a] * v[b]) * q
-            hv.append(acc)
+                        pairs.append((q, v[a] * v[b]))
+            hv.append(_lincomb(ctx, pairs))
         for i in range(n):
-            acc = ctx.zero()
-            for p in range(n):
-                acc = acc + hv[p] * Jac[i][p]
+            acc = _lincomb(ctx, zip((Jac[i][p] for p in range(n)), hv))
             if not acc.is_zero():
                 return Witness.of(f"De(D2e[{label},{label}])[{i + 1}]", acc)
         return None

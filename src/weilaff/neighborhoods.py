@@ -31,6 +31,7 @@ from .weil import (
     WeilElement,
     WeilError,
     _as_fraction,
+    _lincomb,
     make_quotient_context,
     make_truncated_context,
 )
@@ -144,16 +145,15 @@ def eval_form(form: MultilinearForm, vectors: Sequence[PointVec]) -> WeilElement
     for v in vectors:
         if v.dim != form.dim:
             raise WeilError(f"form on dim {form.dim} applied to a dim-{v.dim} vector")
-    ctx = vectors[0].context
-    acc = ctx.zero()
+    pairs = []
     for idx, c in form.coeffs.items():
-        term = ctx.scalar(c)
+        term = None
         for v, i in zip(vectors, idx):
-            term = term * v[i]
+            term = v[i] if term is None else term * v[i]
             if term.is_zero():
                 break
-        acc = acc + term
-    return acc
+        pairs.append((c, term))
+    return _lincomb(vectors[0].context, pairs)
 
 
 # -- product searches --------------------------------------------------------
@@ -397,7 +397,7 @@ def generic_symmetric_Ak_tuple(
             rel = {}
             for arrangement in set(itertools.permutations(M)):
                 key = mono([gi(w, b) for w, b in zip(W, arrangement)])
-                rel[key] = rel.get(key, 0) + Fraction(1)
+                rel[key] = rel.get(key, 0) + 1
             rel = {mk: c for mk, c in rel.items() if c}
             if rel:
                 relations.append(rel)

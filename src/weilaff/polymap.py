@@ -28,6 +28,7 @@ from .weil import (
     WeilElement,
     WeilError,
     _as_fraction,
+    _lincomb,
     invert,
     make_truncated_context,
 )
@@ -211,9 +212,9 @@ class Poly:
         ctx = coords[0].context
         if cache is None:
             cache = {}
-        acc = ctx.zero()
+        pairs = []
         for m, c in self.terms.items():
-            term = ctx.scalar(c)
+            term = None
             for i, e in enumerate(m):
                 if not e:
                     continue
@@ -222,11 +223,11 @@ class Poly:
                 if pw is None:
                     pw = coords[i] ** e
                     cache[key] = pw
-                term = term * pw
+                term = pw if term is None else term * pw
                 if term.is_zero():
                     break
-            acc = acc + term
-        return acc
+            pairs.append((c, ctx.one() if term is None else term))
+        return _lincomb(ctx, pairs)
 
     def format(self, var_names: Sequence[str]) -> str:
         if not self.terms:
@@ -514,13 +515,11 @@ class DerivativeTensor:
                     break
             if prod is not None and not prod.is_zero():
                 grid_products[grid] = prod
-        coords = []
-        for i in range(self.out_dim):
-            acc = ctx.zero()
-            for grid, prod in grid_products.items():
-                acc = acc + self.entry(i, grid) * prod
-            coords.append(acc)
-        return PointVec(ctx, tuple(coords))
+        coords = tuple(
+            _lincomb(ctx, ((1, self.entry(i, grid) * prod) for grid, prod in grid_products.items()))
+            for i in range(self.out_dim)
+        )
+        return PointVec(ctx, coords)
 
     def as_matrix(self) -> list:
         """Order-1 tensors as a Jacobian matrix (rows: outputs, cols: inputs)."""

@@ -54,6 +54,7 @@ from .report import CheckReport
 from .weil import (
     PointVec,
     SingularMatrixError,
+    _lincomb,
     _rational_matrix_inverse,
     make_truncated_context,
 )
@@ -356,14 +357,8 @@ def _sym_basis_forms(dim: int):
 def _apply_linear(J, vec: PointVec) -> PointVec:
     ctx = vec.context
     n = vec.dim
-    coords = []
-    for i in range(n):
-        acc = ctx.zero()
-        for a in range(n):
-            if J[i][a]:
-                acc = acc + vec[a] * J[i][a]
-        coords.append(acc)
-    return PointVec(ctx, tuple(coords))
+    coords = tuple(_lincomb(ctx, ((J[i][a], vec[a]) for a in range(n))) for i in range(n))
+    return PointVec(ctx, coords)
 
 
 def _quad_vec(dim: int, comp: int, a: int, b: int, xs: PointVec, ys: PointVec) -> PointVec:
@@ -415,15 +410,12 @@ def crit_symmetric_obstruction(report: CheckReport, grid: str, seed: int) -> Non
             Jv = _apply_linear(Jm, v)
 
             def h_pair(xs, ys):
-                coords = []
-                for comp in range(2):
-                    acc = ctx.zero()
-                    for a in range(2):
-                        for b in range(2):
-                            if H[(comp, a, b)]:
-                                acc = acc + xs[a] * ys[b] * H[(comp, a, b)]
-                    coords.append(acc)
-                return PointVec(ctx, tuple(coords))
+                coords = tuple(
+                    _lincomb(ctx, ((H[(comp, a, b)], xs[a] * ys[b])
+                                   for a in range(2) for b in range(2) if H[(comp, a, b)]))
+                    for comp in range(2)
+                )
+                return PointVec(ctx, coords)
 
             Hvv = h_pair(v, v)
             Huv = h_pair(u, v)

@@ -21,14 +21,33 @@ neighbourhood searches prune against it.
 optional relations); :func:`make_quotient_context` is one block covering
 every generator with the given total-degree cap.
 
+Inside the kernel a monomial is one packed integer, as in the packed
+exponent vectors of Monagan and Pearce (CASC 2007).  The context fixes the
+layout from its names and blocks alone, so equal contexts share it.  From
+the most significant end: the total degree, then one field of ``w`` bits per
+generator (generator 0 first), then one field per binding block (a block
+whose cap is below the total cap) holding that block's exponent sum.  ``w``
+is the smallest width with ``2**(w-1) > 2 * degree_cap``, so adding two
+monomials the caps leave alive never carries from one field into the next:
+a product of monomials is one integer addition and a total degree one
+shift.  Comparing packed integers compares the total degree first and then
+the exponent tuples, which is the graded lexicographic order with
+``x0 > x1 > ...``: pivots (the largest monomial of a row) and witnesses (the
+least surviving monomial) are the ones that order picks.  Each block field
+plus ``bias`` (``2**(w-1) - 1 - cap`` in that field) reaches the field's top
+bit exactly when the block is over its cap, so one mask test against
+``guard`` applies every block cap at once.  Exponent tuples appear only at
+the edges: building elements, and reading them back.
+
 An element is immutable: integer numerators on the monomials of its normal
 form over one positive common denominator, in lowest terms, so ``==`` on
 elements is equality in the algebra (the layout of FLINT's ``fmpq_poly``).
 Fractions appear only at the edges: building elements from rationals, and
 reading coefficients, constant terms and witnesses back.  A product visits
-only the pairs of terms whose degrees fit under the total cap, and relation
-reduction runs on integer rows.  All arithmetic is exact; nothing here ever
-touches floats.
+only the pairs of terms whose degrees fit under the total cap, relation
+reduction runs on integer rows, and a linear combination of elements is
+built over one common denominator and brought to lowest terms once.  All
+arithmetic is exact; nothing here ever touches floats.
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add as _add
+from operator import mul as _mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Monomial = tuple  # exponent tuple, one slot per generator
@@ -107,7 +126,8 @@ class WeilContext:
     """
 
     __slots__ = (
-        "names", "blocks", "relations", "degree_cap", "_binding", "_sig", "_zero_mono",
+        "names", "blocks", "relations", "degree_cap", "_binding", "_sig",
+        "_mask", "_offsets", "_units", "_dshift", "_bias", "_guard", "_rels",
         "_bases", "_ideal", "_top",
     )
 
@@ -115,15 +135,40 @@ class WeilContext:
         self.names = names
         self.blocks = blocks
         self.relations = relations
-        self.degree_cap = sum(b.cap for b in blocks)
+        self.degree_cap = cap = sum(b.cap for b in blocks)
         # a block cap at the total cap kills nothing the total cap keeps, so
         # only the lower ones are ever tested
-        self._binding = tuple(
-            (b.start, b.start + b.count, b.cap) for b in blocks if b.cap < self.degree_cap
+        self._binding = binding = tuple(
+            (b.start, b.start + b.count, b.cap) for b in blocks if b.cap < cap
         )
         # block names only label generators, which ``names`` already records
         self._sig = (names, tuple((b.start, b.count, b.cap) for b in blocks))
-        self._zero_mono = (0,) * len(names)
+        # packed layout (module docstring): block fields at the bottom, then
+        # the generators with generator 0 highest, then the total degree
+        w = (2 * cap).bit_length() + 1
+        n, nb = len(names), len(binding)
+        self._mask = (1 << w) - 1
+        self._offsets = tuple(w * (nb + n - 1 - i) for i in range(n))
+        self._dshift = w * (nb + n)
+        units = [1 << self._dshift | 1 << off for off in self._offsets]
+        half = 1 << (w - 1)
+        self._bias = self._guard = 0
+        for j, (lo, hi, bcap) in enumerate(binding):
+            off = w * (nb - 1 - j)
+            self._bias |= (half - 1 - bcap) << off
+            self._guard |= half << off
+            for i in range(lo, hi):
+                units[i] |= 1 << off
+        self._units = tuple(units)
+        # the relations packed once, as (degree, primitive integer row); one
+        # above the cap never meets a degree that is built
+        rels = []
+        for rel in relations:
+            deg = sum(next(iter(rel)))  # relations are homogeneous
+            if deg <= cap:
+                packed = {self._pack(m): c for m, c in rel.items()}
+                rels.append((deg, _primitive(_over_common_denominator(packed)[0])))
+        self._rels = tuple(rels)
         # per-degree RREF bases for relation reduction, and the ideal key built
         # from them; populated lazily and idempotently (recomputation yields
         # the identical value, so a race merely duplicates work)
@@ -132,7 +177,7 @@ class WeilContext:
         # every degree above this one vanishes; it drops when a basis turns
         # out full and never rises, so any value it has held is a valid bound
         # and a race merely costs work
-        self._top = self.degree_cap
+        self._top = cap
 
     # -- identity ---------------------------------------------------------
 
@@ -188,21 +233,31 @@ class WeilContext:
         self._degree_basis(degree)
         return degree > self._top
 
+    # -- packed monomials ----------------------------------------------------
+
+    def _pack(self, mono: Monomial) -> int:
+        """The packed key of an exponent tuple the caps leave alive."""
+        return sum(map(_mul, mono, self._units))
+
+    def _unpack(self, key: int) -> Monomial:
+        mask = self._mask
+        return tuple((key >> off) & mask for off in self._offsets)
+
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "WeilElement":
         return WeilElement(self, {}, 1)
 
     def one(self) -> "WeilElement":
-        return WeilElement(self, {self._zero_mono: 1}, 1)
+        return WeilElement(self, {0: 1}, 1)
 
     def scalar(self, q: Scalar) -> "WeilElement":
         if type(q) is not int:
             q = _as_fraction(q)
             if q.denominator != 1:
-                return WeilElement(self, {self._zero_mono: q.numerator}, q.denominator)
+                return WeilElement(self, {0: q.numerator}, q.denominator)
             q = q.numerator
-        return WeilElement(self, {self._zero_mono: q} if q else {}, 1)
+        return WeilElement(self, {0: q} if q else {}, 1)
 
     def gen(self, i: int) -> "WeilElement":
         if not 0 <= i < self.ngens:
@@ -211,7 +266,7 @@ class WeilContext:
         # a cap of 0 kills a generator, and a linear relation may reduce it
         if self.monomial_is_zero(mono):
             return self.zero()
-        return self._normal_form({mono: 1}, 1)
+        return self._normal_form({self._units[i]: 1}, 1)
 
     def gens(self) -> list:
         return [self.gen(i) for i in range(self.ngens)]
@@ -221,7 +276,7 @@ class WeilContext:
         for m, c in raw.items():
             m, c = tuple(m), _as_fraction(c)
             if c and not self.monomial_is_zero(m):
-                terms[m] = c
+                terms[self._pack(m)] = c
         return self._normal_form(*_over_common_denominator(terms))
 
     def point(self, coords: Sequence) -> "PointVec":
@@ -245,17 +300,19 @@ class WeilContext:
         return any(sum(mono[lo:hi]) > cap for lo, hi, cap in self._binding)
 
     def _normal_form(self, num: dict, den: int) -> "WeilElement":
-        """The element ``num / den``, given integer numerators on monomials
-        the caps leave alive: relations reduced, common factor removed."""
+        """The element ``num / den``, given integer numerators on packed
+        monomials the caps leave alive: relations reduced, common factor
+        removed."""
         if self.relations and num:
             # terms above the known top vanish: drop them before any basis
             # lookup, so that none is built for their degree
-            top = self._top
-            if any(sum(m) > top for m in num):
-                num = {m: c for m, c in num.items() if sum(m) <= top}
+            dshift = self._dshift
+            limit = (self._top + 1) << dshift
+            if max(num) >= limit:
+                num = {m: c for m, c in num.items() if m < limit}
             hits = []
             for m, c in num.items():
-                d = sum(m)
+                d = m >> dshift
                 if d:
                     hit = self._degree_basis(d).get(m)
                     if hit:
@@ -268,25 +325,26 @@ class WeilContext:
     def _degree_basis(self, degree: int) -> dict:
         """RREF basis of span{relation * monomial} in the given graded slot,
         restricted to the monomials the block caps leave alive, as
-        ``{pivot: (pivot coefficient, row)}``.  Each row is a primitive
-        integer vector with a positive coefficient on its pivot (its largest
-        monomial) and zero on every other pivot: the unique reduced basis
-        over Q, each row scaled to integers, so equal spans give equal bases.
+        ``{pivot: (pivot coefficient, row)}`` on packed monomials.  Each row
+        is a primitive integer vector with a positive coefficient on its
+        pivot (its largest monomial) and zero on every other pivot: the
+        unique reduced basis over Q, each row scaled to integers, so equal
+        spans give equal bases.
 
         The caps generate a monomial ideal M, and the leading monomials of
         ``J_d + M_d`` are ``M_d`` together with those of J_d projected off
         M_d, so this basis reduces exactly as one that listed the caps as
         monomial relations would.
 
-        Cover test: the order on exponent tuples is a monomial order, so a
-        row of degree d-1 with pivot p, times a generator x_i, lies in the
-        span with leading monomial p + e_i (the caps drop only smaller
-        terms).  When every alive monomial of degree d has such a divisor
-        among the pivots of degree d-1, these rows span the whole degree:
-        it is full, and its reduced basis is the identity
-        ``{m: (1, {m: 1})}``, built with no elimination.  A full degree, found
-        either way, lowers ``_top`` below it.  Degrees are built from the
-        bottom up, since the test reads the degree below."""
+        Cover test: the packed order is a monomial order, so a row of degree
+        d-1 with pivot p, times a generator x_i, lies in the span with
+        leading monomial p + e_i (the caps drop only smaller terms).  When
+        every alive monomial of degree d has such a divisor among the pivots
+        of degree d-1, these rows span the whole degree: it is full, and its
+        reduced basis is the identity ``{m: (1, {m: 1})}``, built with no
+        elimination.  A full degree, found either way, lowers ``_top`` below
+        it.  Degrees are built from the bottom up, since the test reads the
+        degree below."""
         basis = self._bases.get(degree)
         if basis is None:
             for d in range(1, degree + 1):
@@ -296,17 +354,23 @@ class WeilContext:
         return basis
 
     def _alive(self, degree: int) -> list:
-        """The monomials of total degree ``degree`` that the caps leave alive."""
-        monos = monomials_of_degree(self.ngens, degree)
-        if self._binding:
-            return [m for m in monos if not self.monomial_is_zero(m)]
-        return list(monos)
+        """The packed monomials of total degree ``degree`` that the caps
+        leave alive, largest first."""
+        units = self._units
+        monos = [sum(map(units.__getitem__, picks))
+                 for picks in itertools.combinations_with_replacement(range(len(units)), degree)]
+        bias, guard = self._bias, self._guard
+        if guard:
+            return [m for m in monos if not (m + bias) & guard]
+        return monos
 
     def _build_basis(self, degree: int) -> dict:
         alive = self._alive(degree)
         below = self._bases.get(degree - 1)
+        mask = self._mask
+        fields = tuple(zip(self._offsets, self._units))
         if below is not None and all(
-            any(e and m[:i] + (e - 1,) + m[i + 1:] in below for i, e in enumerate(m))
+            any((m >> off) & mask and m - unit in below for off, unit in fields)
             for m in alive
         ):
             basis = {m: (1, {m: 1}) for m in alive}
@@ -321,26 +385,27 @@ class WeilContext:
         relation x shift rows (as in Bareiss 1968, with rows divided by their
         content where Bareiss divides by the previous pivot).  Stops once the
         rank reaches ``full``, the number of alive monomials."""
-        capped = self.monomial_is_zero if self._binding else None
+        bias, guard = self._bias, self._guard
         shifts = {}  # shift degree -> alive monomials of that degree
         basis = {}
         cols = {}  # monomial -> pivots of the basis rows nonzero on it
-        for rel in self.relations:
-            rel_deg = sum(next(iter(rel)))  # relations are homogeneous
+        for rel_deg, rel in self._rels:
             if rel_deg > degree:
                 continue
-            rel = _primitive(_over_common_denominator(rel)[0])
             sd = degree - rel_deg
             if sd not in shifts:
                 # a capped shift needs no row: so is every multiple of it
                 shifts[sd] = self._alive(sd)
             for shift in shifts[sd]:
                 # adding one shift is injective, so no two terms collide
-                row = {}
-                for m, c in rel.items():
-                    key = tuple(map(_add, m, shift))
-                    if not (capped and capped(key)):
-                        row[key] = c
+                if guard:
+                    row = {}
+                    for m, c in rel.items():
+                        key = m + shift
+                        if not (key + bias) & guard:
+                            row[key] = c
+                else:
+                    row = {m + shift: c for m, c in rel.items()}
                 hits = [(row[m], basis[m]) for m in row if m in basis]
                 if hits:
                     row = _reduce_at_degree(row, hits)[0]
@@ -425,8 +490,33 @@ def _canonical(ctx: WeilContext, num: dict, den: int) -> "WeilElement":
     return WeilElement(ctx, num, den)
 
 
+def _lincomb(ctx: WeilContext, pairs: Iterable) -> "WeilElement":
+    """The sum of ``q * x`` over ``(scalar, element)`` pairs of ``ctx``: one
+    common denominator, one pass of integer adds, lowest terms once."""
+    scaled = []
+    den = 1
+    for q, x in pairs:
+        if x.context is not ctx and x.context != ctx:
+            raise ContextMismatchError("elements belong to different contexts")
+        if q and x._num:
+            if type(q) is int:
+                p, d = q, x.den
+            else:
+                q = _as_fraction(q)
+                p, d = q.numerator, q.denominator * x.den
+            scaled.append((p, d, x._num))
+            den = math.lcm(den, d)
+    out = {}
+    for p, d, num in scaled:
+        f = p * (den // d)
+        for m, c in num.items():
+            out[m] = out.get(m, 0) + c * f
+    return _canonical(ctx, {m: c for m, c in out.items() if c}, den)
+
+
 def _clean_relations(relations, ngens: int) -> tuple:
-    """Canonical homogeneous relations: merged, zero-free, sorted by monomial."""
+    """Canonical homogeneous relations: merged, zero-free, sorted by monomial.
+    Integer coefficients stay integers; others become Fractions."""
     cleaned = []
     for rel in relations:
         terms = {}
@@ -434,7 +524,8 @@ def _clean_relations(relations, ngens: int) -> tuple:
             m = tuple(m)
             if len(m) != ngens:
                 raise WeilError("relation monomial arity does not match generators")
-            c = _as_fraction(c)
+            if type(c) is not int:
+                c = _as_fraction(c)
             if c:
                 terms[m] = terms.get(m, 0) + c
         terms = {m: c for m, c in terms.items() if c}
@@ -501,17 +592,18 @@ def make_quotient_context(
 class WeilElement:
     """An immutable element ``num / den`` of a :class:`WeilContext`.
 
-    ``num`` maps each surviving monomial of the normal form to an integer
-    numerator and ``den`` is one positive common denominator, with
-    ``gcd(den, *num.values()) == 1`` and zero stored as ``({}, 1)``.  Do not
-    call directly: build elements through the context.
+    The numerators map each surviving monomial of the normal form, packed,
+    to an integer, and ``den`` is one positive common denominator, with
+    ``gcd(den, *numerators) == 1`` and zero stored as ``({}, 1)``.  ``num``
+    reads the numerators back on exponent tuples.  Do not call directly:
+    build elements through the context.
     """
 
-    __slots__ = ("context", "num", "den")
+    __slots__ = ("context", "_num", "den")
 
     def __init__(self, context: WeilContext, num: dict, den: int):
         self.context = context
-        self.num = num
+        self._num = num
         self.den = den
 
     # -- helpers -------------------------------------------------------------
@@ -529,34 +621,41 @@ class WeilElement:
         """This element times ``p / q``."""
         if not p:
             return self.context.zero()
-        return _canonical(self.context, {m: c * p for m, c in self.num.items()}, self.den * q)
+        return _canonical(self.context, {m: c * p for m, c in self._num.items()}, self.den * q)
+
+    @property
+    def num(self) -> dict:
+        """A fresh dict of the integer numerators, exponent tuple by exponent tuple."""
+        unpack = self.context._unpack
+        return {unpack(m): c for m, c in self._num.items()}
 
     @property
     def coeffs(self) -> dict:
-        """A fresh dict of the coefficients as Fractions, monomial by monomial."""
-        den = self.den
-        return {m: Fraction(c, den) for m, c in self.num.items()}
+        """A fresh dict of the coefficients as Fractions, exponent tuple by exponent tuple."""
+        unpack, den = self.context._unpack, self.den
+        return {unpack(m): Fraction(c, den) for m, c in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     @property
     def constant_term(self) -> Fraction:
-        return Fraction(self.num.get(self.context._zero_mono, 0), self.den)
+        return Fraction(self._num.get(0, 0), self.den)
 
     def min_degree(self):
         """Smallest total degree of a surviving monomial; ``None`` if zero."""
-        if not self.num:
+        if not self._num:
             return None
-        return min(map(sum, self.num))
+        return min(self._num) >> self.context._dshift
 
     def nilpotent_part(self) -> "WeilElement":
         return self - self.constant_term
 
     def leading_witness(self):
         """(monomial string, coefficient) for the least surviving monomial."""
-        mono = min(self.num, key=lambda m: (sum(m), m))
-        return self.context.format_monomial(mono), Fraction(self.num[mono], self.den)
+        key = min(self._num)
+        ctx = self.context
+        return ctx.format_monomial(ctx._unpack(key)), Fraction(self._num[key], self.den)
 
     # -- ring operations -------------------------------------------------------
 
@@ -567,14 +666,14 @@ class WeilElement:
         # normal forms are closed under addition (reduction is linear)
         da, db = self.den, other.den
         if da == db:
-            out = dict(self.num)
+            out = dict(self._num)
             fb = 1
         else:
             g = math.gcd(da, db)
             fa, fb = db // g, da // g
-            out = {m: c * fa for m, c in self.num.items()}
+            out = {m: c * fa for m, c in self._num.items()}
             da *= fa
-        for m, c in other.num.items():
+        for m, c in other._num.items():
             nc = out.get(m, 0) + c * fb
             if nc:
                 out[m] = nc
@@ -585,7 +684,7 @@ class WeilElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return WeilElement(self.context, {m: -c for m, c in self.num.items()}, self.den)
+        return WeilElement(self.context, {m: -c for m, c in self._num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -608,43 +707,39 @@ class WeilElement:
         if other is None:
             return NotImplemented
         ctx = self.context
-        a, b = self.num, other.num
-        zero = ctx._zero_mono
+        a, b = self._num, other._num
         # a constant factor only scales the other one
-        if len(b) == 1 and zero in b:
-            return self._scaled(b[zero], other.den)
-        if len(a) == 1 and zero in a:
-            return other._scaled(a[zero], self.den)
+        if len(b) == 1 and 0 in b:
+            return self._scaled(b[0], other.den)
+        if len(a) == 1 and 0 in a:
+            return other._scaled(a[0], self.den)
         # the right factor's terms in order of degree; ends[r] counts those of
         # degree at most r, so a left term of degree d meets exactly the
         # first ends[top - d] of them and no pair is visited to be rejected
         # by the known top degree (at most the total cap)
+        dshift = ctx._dshift
         graded = [[] for _ in range(ctx.degree_cap + 1)]
         for m, c in b.items():
-            graded[sum(m)].append((m, c))
+            graded[m >> dshift].append((m, c))
         right = []
         ends = []
         for terms in graded:
             right.extend(terms)
             ends.append(len(right))
         top = ctx._top
-        binding = ctx._binding
+        bias, guard = ctx._bias, ctx._guard
         out = {}
         for m1, c1 in a.items():
-            room = top - sum(m1)
+            room = top - (m1 >> dshift)
             if room < 0:
                 continue
             for m2, c2 in right[: ends[room]]:
-                key = tuple(map(_add, m1, m2))
-                if binding and any(sum(key[lo:hi]) > bc for lo, hi, bc in binding):
+                key = m1 + m2
+                if guard and (key + bias) & guard:
                     continue
-                nc = out.get(key, 0) + c1 * c2
-                if nc:
-                    out[key] = nc
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + c1 * c2
         # the loop already applied every cap; only relations remain
-        return ctx._normal_form(out, self.den * other.den)
+        return ctx._normal_form({m: c for m, c in out.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -679,18 +774,19 @@ class WeilElement:
         if not isinstance(other, WeilElement):
             return NotImplemented
         return (
-            self.den == other.den and self.num == other.num and self.context == other.context
+            self.den == other.den and self._num == other._num and self.context == other.context
         )
 
     def __hash__(self):
-        return hash((self.context, frozenset(self.num.items()), self.den))
+        return hash((self.context, frozenset(self._num.items()), self.den))
 
     def __str__(self):
-        if not self.num:
+        if not self._num:
             return "0"
         parts = []
-        for mono in sorted(self.num, key=lambda m: (sum(m), tuple(-e for e in m))):
-            c = Fraction(self.num[mono], self.den)
+        coeffs = self.coeffs
+        for mono in sorted(coeffs, key=lambda m: (sum(m), tuple(-e for e in m))):
+            c = coeffs[mono]
             mstr = self.context.format_monomial(mono)
             if mstr == "1":
                 text = str(c)
@@ -721,14 +817,14 @@ def invert(x: WeilElement) -> WeilElement:
         raise NonInvertibleError("constant term is zero; element is not a unit")
     n = x.nilpotent_part()
     inv_c = 1 / c
-    acc = x.context.scalar(inv_c)
-    term = acc
+    term = x.context.scalar(inv_c)
+    terms = [(1, term)]
     for _ in range(x.context.max_degree):
         term = term * n * (-inv_c)
         if term.is_zero():
             break
-        acc = acc + term
-    return acc
+        terms.append((1, term))
+    return _lincomb(x.context, terms)
 
 
 def _rational_sqrt(q: Fraction) -> Fraction:
@@ -747,16 +843,16 @@ def sqrt(x: WeilElement) -> WeilElement:
     c = x.constant_term
     root = _rational_sqrt(c)
     u = x.nilpotent_part() * (1 / c)  # x = c * (1 + u)
-    acc = x.context.one()
     term = x.context.one()
+    terms = [(root, term)]
     coef = Fraction(1)
     for i in range(1, x.context.max_degree + 1):
         coef *= (Fraction(1, 2) - (i - 1)) / i
         term = term * u
         if term.is_zero():
             break
-        acc = acc + term * coef
-    return acc * root
+        terms.append((coef * root, term))
+    return _lincomb(x.context, terms)
 
 
 def _rational_matrix_inverse(mat):
@@ -785,11 +881,13 @@ def mat_mul(A, B):
     for i in range(rows):
         row = []
         for j in range(cols):
-            acc = None
-            for t in range(inner):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
+            terms = [A[i][t] * B[t][j] for t in range(inner)]
+            ctx = next((x.context for x in terms if isinstance(x, WeilElement)), None)
+            if ctx is None:  # rationals only
+                row.append(sum(terms[1:], terms[0]))
+            else:
+                row.append(_lincomb(ctx, (
+                    (1, x) if isinstance(x, WeilElement) else (x, ctx.one()) for x in terms)))
         out.append(row)
     return out
 
@@ -814,10 +912,7 @@ def mat_inverse(M) -> list:
     Cinv = _rational_matrix_inverse(C)
     N = [[M[i][j] - C[i][j] for j in range(n)] for i in range(n)]
     B = [
-        [
-            sum((N[t][j] * -Cinv[i][t] for t in range(n)), ctx.zero())
-            for j in range(n)
-        ]
+        [_lincomb(ctx, ((-Cinv[i][t], N[t][j]) for t in range(n))) for j in range(n)]
         for i in range(n)
     ]
     ident = [[ctx.scalar(int(i == j)) for j in range(n)] for i in range(n)]
@@ -899,7 +994,7 @@ class PointVec:
         return f"PointVec{self}"
 
     def is_rational(self) -> bool:
-        return all(c.num.keys() <= {self.context._zero_mono} for c in self.coords)
+        return all(c._num.keys() <= {0} for c in self.coords)
 
     def rational_coords(self) -> tuple:
         if not self.is_rational():

@@ -219,3 +219,15 @@ def test_requires_subcommand():
     with pytest.raises(SystemExit) as ei:
         main([])
     assert ei.value.code == 2
+
+
+def test_selftest_module_loads_only_when_used():
+    # ``check`` and ``eval`` never need the suite; ``weilaff.run_selftest`` still resolves
+    code = (
+        "import sys, weilaff, weilaff.cli\n"
+        "assert 'weilaff.selftest' not in sys.modules\n"
+        "assert callable(weilaff.run_selftest)\n"
+        "assert 'weilaff.selftest' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -25,6 +25,7 @@ from weilaff import (
     monomials_of_degree,
     sqrt,
 )
+from weilaff.weil import _lincomb
 
 from _oracles import (
     as_dense,
@@ -777,3 +778,108 @@ def test_random_quotient_normal_forms_against_sympy(data):
     monos = _up_to(n, ctx.max_degree)
     sparse = data.draw(st.lists(st.dictionaries(st.sampled_from(monos), _NONZERO, max_size=6), max_size=3))
     _assert_matches_sympy(ctx, random.Random(data.draw(st.integers(0, 99))), sparse)
+
+
+# -- packed monomials ----------------------------------------------------------------------
+
+PACKED_CASES = {
+    "truncated": lambda: make_truncated_context([("e", 3, 2)]),
+    "binding-caps": lambda: make_truncated_context([("a", 2, 1), ("b", 2, 2), ("c", 1, 2)]),
+    "cap-zero-block": lambda: make_truncated_context([("a", 1, 0), ("b", 2, 2)]),
+    "no-generators": lambda: make_truncated_context([]),
+    # 2 * cap = 8 is a power of two, where the width rule 2**(w-1) > 2 * cap
+    # steps from 4 bits to 5
+    "width-boundary": lambda: make_truncated_context([("a", 2, 1), ("b", 2, 3)]),
+}
+
+
+def _packed_case(name):
+    ctx = PACKED_CASES[name]()
+    alive = [m for m in _up_to(ctx.ngens, ctx.max_degree) if not ctx.monomial_is_zero(m)]
+    return ctx, alive
+
+
+def _blocks_broken(ctx, mono):
+    return any(sum(mono[lo:hi]) > cap for lo, hi, cap in ctx._binding)
+
+
+def test_packed_cases_cover_their_layouts():
+    w = {name: PACKED_CASES[name]()._mask.bit_length() for name in PACKED_CASES}
+    assert w["width-boundary"] == 5 and w["truncated"] == 4 and w["no-generators"] == 1
+    assert PACKED_CASES["binding-caps"]()._guard and PACKED_CASES["cap-zero-block"]()._guard
+    assert not PACKED_CASES["truncated"]()._guard
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_packed_keys_round_trip_in_grlex_order(case):
+    ctx, alive = _packed_case(case)
+    keys = [ctx._pack(m) for m in alive]
+    assert [ctx._unpack(k) for k in keys] == alive
+    assert len(set(keys)) == len(alive)
+    assert ctx._pack((0,) * ctx.ngens) == 0
+    # int order on keys is the order on (total degree, exponent tuple)
+    assert [ctx._unpack(k) for k in sorted(keys)] == sorted(alive, key=lambda m: (sum(m), m))
+    assert all(k >> ctx._dshift == sum(m) for k, m in zip(keys, alive))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.data())
+def test_packed_sum_applies_every_block_cap_at_once(data):
+    ctx, alive = _packed_case(data.draw(st.sampled_from(sorted(PACKED_CASES))))
+    a, b = data.draw(st.sampled_from(alive)), data.draw(st.sampled_from(alive))
+    key = ctx._pack(a) + ctx._pack(b)
+    total = tuple(x + y for x, y in zip(a, b))
+    assert bool((key + ctx._bias) & ctx._guard) == _blocks_broken(ctx, total)
+    assert key >> ctx._dshift == sum(total)
+    # no field carried into the next one
+    assert ctx._unpack(key) == total
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_products_agree_with_exponent_tuple_products(data):
+    name = data.draw(st.sampled_from(sorted(PACKED_CASES)))
+    ctx, alive = _packed_case(name)
+    draw = st.dictionaries(st.sampled_from(alive), _COEFF, max_size=5)
+    x, y = data.draw(draw), data.draw(draw)
+    want = {}
+    for (m1, c1), (m2, c2) in itertools.product(x.items(), y.items()):
+        m = tuple(p + q for p, q in zip(m1, m2))
+        if not ctx.monomial_is_zero(m):
+            want[m] = want.get(m, 0) + c1 * c2
+    assert ctx.element(x) * ctx.element(y) == ctx.element(want)
+
+
+def _scalars():
+    return st.one_of(st.just(0), st.integers(-4, 4), _COEFF)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_lincomb_is_the_left_to_right_sum(data):
+    case = data.draw(CASE)
+    ctx = KERNEL_CASES[case][0]
+    elements = _case_elements(case) | st.just(ctx.zero())
+    pairs = data.draw(st.lists(st.tuples(_scalars(), elements), max_size=5))
+    got = _lincomb(ctx, pairs)
+    want = ctx.zero()
+    for q, x in pairs:
+        want = want + q * x
+    assert got == want
+    _assert_canonical(got)
+
+
+def test_lincomb_rejects_another_context():
+    a, b = make_truncated_context([("e", 2, 2)]), make_truncated_context([("e", 2, 1)])
+    with pytest.raises(ContextMismatchError):
+        _lincomb(a, [(1, a.gen(0)), (2, b.gen(0))])
+
+
+def test_integer_model_equals_its_fraction_presentation():
+    ctx = generic_nilsquare_tuple(3, 4)[0]
+    assert all(type(c) is int for rel in ctx.relations for c in rel.values())
+    fractions = [{m: Fraction(c) for m, c in rel.items()} for rel in ctx.relations]
+    again = make_quotient_context(ctx.names, fractions, ctx.max_degree)
+    assert again.relations == ctx.relations
+    assert again == ctx and hash(again) == hash(ctx)
+    assert again.gen(0) * again.gen(3) == ctx.gen(0) * ctx.gen(3)
