@@ -227,6 +227,8 @@ class Scenario:
 
 _PUNCT2 = ("->",)
 _PUNCT1 = "(){}[],;=+-*/^"
+# CPython's default limit on int(str): a longer literal would raise ValueError
+_MAX_INT_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -264,10 +266,15 @@ def _lex(text: str):
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        # ASCII digits only: ``str.isdigit`` also takes "²" and "٣"
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > _MAX_INT_DIGITS:
+                raise ParseError(
+                    line, col, f"an integer of at most {_MAX_INT_DIGITS} digits", f"{j - i} digits"
+                )
             toks.append(_Tok("INT", text[i:j], line, col))
             col += j - i
             i = j

@@ -174,7 +174,12 @@ class BilinearMap:
             pairs = []
             for (a, b), p in prods.items():
                 e = self.entry(i, a, b)
-                if e is not None and not e.is_zero():
+                if e is None or e.is_zero():
+                    continue
+                # a constant entry (a connection at a rational point) only scales
+                if e._num.keys() <= {0}:
+                    pairs.append((e.constant_term, p))
+                else:
                     pairs.append((1, e * p))
             coords.append(_lincomb(ctx, pairs))
         return PointVec(ctx, tuple(coords))

@@ -48,12 +48,22 @@ only the pairs of terms whose degrees fit under the total cap, relation
 reduction runs on integer rows, and a linear combination of elements is
 built over one common denominator and brought to lowest terms once.  All
 arithmetic is exact; nothing here ever touches floats.
+
+Contexts are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): both makers return the live context of an equal
+presentation (the same names, blocks with their labels, and cleaned
+relations) when one exists, so every model built alike shares one object,
+and with it the relation bases, the packed relations and the ideal key,
+built once while anyone holds it.  The table holds its contexts weakly: a
+context nobody holds is collected with everything it built.  Two
+presentations of one ideal stay two objects that compare equal.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from operator import mul as _mul
 from typing import Iterable, Mapping, Sequence, Union
@@ -121,14 +131,18 @@ class WeilContext:
     Two contexts are equal when their names and blocks match and their
     relations span the same ideal modulo the caps, however they are listed.
 
-    Do not call directly; use :func:`make_truncated_context` or
-    :func:`make_quotient_context`.
+    A context is immutable apart from lazy caches that are filled
+    idempotently (the relation bases and the ideal key) or only ever lowered
+    (the known top degree), so one context is safely shared by everything
+    built on an equal presentation.  Do not call directly; use
+    :func:`make_truncated_context` or :func:`make_quotient_context`, which
+    return the live equal context when there is one.
     """
 
     __slots__ = (
         "names", "blocks", "relations", "degree_cap", "_binding", "_sig",
         "_mask", "_offsets", "_units", "_dshift", "_bias", "_guard", "_rels",
-        "_bases", "_ideal", "_top",
+        "_bases", "_ideal", "_top", "__weakref__",
     )
 
     def __init__(self, names: tuple, blocks: tuple, relations: tuple):
@@ -540,6 +554,25 @@ def _clean_relations(relations, ngens: int) -> tuple:
     return tuple(cleaned)
 
 
+# presentation -> its live context; weak values, so the table never keeps one alive
+_contexts = weakref.WeakValueDictionary()
+
+
+def _intern(names: tuple, blocks: tuple, relations: tuple) -> WeilContext:
+    """The live context of this presentation, or a new one.  Relations come
+    cleaned, so coefficients of equal value give one key."""
+    key = (
+        names,
+        tuple((b.name, b.start, b.count, b.cap) for b in blocks),
+        tuple(tuple(rel.items()) for rel in relations),
+    )
+    ctx = _contexts.get(key)
+    if ctx is None:
+        # a race at worst builds two equal contexts, one of them stored
+        ctx = _contexts[key] = WeilContext(names, blocks, relations)
+    return ctx
+
+
 def make_truncated_context(
     blocks: Sequence, relations: Sequence[Mapping[Monomial, Scalar]] = ()
 ) -> WeilContext:
@@ -567,7 +600,7 @@ def make_truncated_context(
             names.extend(f"{name}{i}" for i in range(1, count + 1))
         built.append(Block(name, start, count, cap))
         start += count
-    return WeilContext(tuple(names), tuple(built), _clean_relations(relations, start))
+    return _intern(tuple(names), tuple(built), _clean_relations(relations, start))
 
 
 def make_quotient_context(
@@ -586,7 +619,7 @@ def make_quotient_context(
     if degree_cap < 0:
         raise WeilError("degree cap must be nonnegative")
     block = Block("", 0, len(names), degree_cap)
-    return WeilContext(names, (block,), _clean_relations(relations, len(names)))
+    return _intern(names, (block,), _clean_relations(relations, len(names)))
 
 
 class WeilElement:
@@ -757,13 +790,15 @@ class WeilElement:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise WeilError("exponent must be a nonnegative integer")
-        result = self.context.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if not e:
+            return self.context.one()
+        # left to right over the bits below the leading one: a square for
+        # each, and a product by the base for each set one
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- comparison / display ---------------------------------------------------

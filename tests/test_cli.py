@@ -89,6 +89,17 @@ def test_check_tuple_map_body_exit_2(tmp_path, capsys):
     assert "expected a scalar expression, found (" in err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_check_unicode_digit_exit_2(tmp_path, capsys, digit):
+    path = write(tmp_path, f"block d vars {digit} cap 1\n")
+    code, out, err = run_main(capsys, "check", path, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}:1:14: ")
+    assert f"expected a token, found {digit!r}" in err
+    assert "Traceback" not in err
+
+
 def test_check_setup_fault_exit_2(tmp_path, capsys):
     path = write(tmp_path, "block e vars 1 cap 1\npoint P = (1/0,)\ncheck in-Dk (P) k=1\n")
     code, out, err = run_main(capsys, "check", path)

@@ -268,6 +268,12 @@ REJECTS = [
     ("form f arity 0 dim 2 { }", 1, 14, "arity >= 1", "0"),
     ("form f arity 2 dim 0 { }", 1, 20, "dim >= 1", "0"),
     ("connection c dim 0 { }", 1, 18, "dim >= 1", "0"),
+    # integers are ASCII digits: other Unicode digits are no token at all
+    ("block d vars \u00b2 cap 1", 1, 14, "a token", "'\u00b2'"),
+    ("block d vars \u0663 cap 1", 1, 14, "a token", "'\u0663'"),
+    ("block d vars 3\u0663 cap 1", 1, 15, "a token", "'\u0663'"),
+    # a literal too long for int() is reported, not raised as ValueError
+    ("point P = (" + "9" * 4301 + ",)", 1, 12, "an integer of at most 4300 digits", "4301 digits"),
 ]
 
 

@@ -156,6 +156,36 @@ def test_bilinear_map_hand_expansion():
     assert G2.entry(0, 0, 1) == c.one()
 
 
+@pytest.mark.parametrize("moved", [False, True])
+def test_bilinear_map_apply_is_the_sum_of_its_terms(moved):
+    # entries are constant at a rational point and not at one moved by d
+    x, y = xy_polys()
+    conn = Connection(2, {
+        (0, 0, 0): x * Fraction(2, 3) + 1,
+        (0, 0, 1): y - x * y,
+        (1, 1, 1): Fraction(-5, 2),
+        (1, 0, 1): x * x + y,
+    })
+    c = make_truncated_context([("d", 2, 2), ("u", 2, 1), ("v", 2, 1)])
+    d1, d2, u1, u2, v1, v2 = c.gens()
+    P = c.point((Fraction(1, 2), -3))
+    if moved:
+        P = P + PointVec(c, (d1, d2))
+    G = conn.at(P)
+    assert any(not e._num.keys() <= {0} for e in G.entries.values()) == moved
+    U = PointVec(c, (u1 + d2, u2 * 3))
+    V = PointVec(c, (v1 - v2, d1 + v2 * Fraction(1, 4)))
+    want = [
+        sum(
+            (G.entry(i, a, b) * U[a] * V[b] for a in range(2) for b in range(2)
+             if G.entry(i, a, b) is not None),
+            c.zero(),
+        )
+        for i in range(2)
+    ]
+    assert list(G.apply(U, V)) == want
+
+
 def test_connection_apply_flat():
     c, P, Q, S = first_order_pair_context()
     got = connection_apply(Connection.zero(1), P, Q, S)

@@ -1,8 +1,10 @@
 """Core algebra: contexts, ring ops, inversion, sqrt, matrices, quotients."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,8 @@ from weilaff import (
     monomials_of_degree,
     sqrt,
 )
-from weilaff.weil import _lincomb
+from weilaff import weil
+from weilaff.weil import WeilElement, _lincomb
 
 from _oracles import (
     as_dense,
@@ -142,6 +145,25 @@ def test_pow_against_dense_oracle():
     x = c.one() + c.gen(0) + c.gen(1) * Fraction(1, 3)
     for e in range(5):
         assert as_dense(x**e) == dense_pow(as_dense(x), e, c.max_degree, c.ngens)
+
+
+def test_pow_makes_a_square_per_bit_and_a_product_per_set_bit(monkeypatch):
+    c = ctx2()
+    x = c.one() + c.gen(0) + c.gen(1) * Fraction(1, 3)
+    products = 0
+    plain = WeilElement.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return plain(self, other)
+
+    monkeypatch.setattr(WeilElement, "__mul__", counted)
+    for e in range(1, 10):
+        products = 0
+        got = x**e
+        assert products == e.bit_length() - 1 + e.bit_count() - 1, e
+        assert as_dense(got) == dense_pow(as_dense(x), e, c.max_degree, c.ngens)
 
 
 def test_pow_cap_two_example():
@@ -599,6 +621,66 @@ def test_a_different_ideal_is_a_different_context():
     assert make_quotient_context(b.names, scaled, 3) == b
 
 
+# -- one context per presentation --------------------------------------------------------
+
+
+def test_models_built_alike_are_one_object():
+    assert generic_nilsquare_tuple(2, 3)[0] is generic_nilsquare_tuple(2, 3)[0]
+    a = generic_symmetric_Ak_tuple(2, 2, 3, degree_cap=4)[0]
+    assert generic_symmetric_Ak_tuple(2, 2, 3, degree_cap=4)[0] is a
+    assert make_truncated_context([("e", 2, 2)]) is make_truncated_context([("e", 2, 2)])
+    assert make_quotient_context(["s", "t"], [], 3) is make_quotient_context(("s", "t"), [], 3)
+
+
+def test_a_different_ideal_is_another_object():
+    b = generic_nilsquare_tuple(2, 3)[0]
+    fewer = make_quotient_context(b.names, nilsquare_relations(2, 3)[:-1], 3)
+    assert fewer is not b and fewer != b
+    assert make_quotient_context(b.names, nilsquare_relations(2, 3), 4) is not b
+
+
+def test_two_presentations_of_one_ideal_stay_two_equal_objects():
+    b = generic_nilsquare_tuple(2, 3)[0]
+    a = make_quotient_context(b.names, nilsquare_relations(2, 3), 3)
+    scaled = [{m: c * -3 for m, c in rel.items()} for rel in nilsquare_relations(2, 3)]
+    c = make_quotient_context(b.names, scaled, 3)
+    assert a is not b and c is not b and c is not a
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+
+
+def test_int_and_fraction_coefficients_of_equal_value_are_one_object():
+    ctx = generic_nilsquare_tuple(3, 4)[0]
+    fractions = [{m: Fraction(c) for m, c in rel.items()} for rel in ctx.relations]
+    assert make_quotient_context(ctx.names, fractions, ctx.max_degree) is ctx
+    rels = [{(1, 1): Fraction(6, 3), (2, 0): Fraction(-1)}]
+    assert make_quotient_context(["s", "t"], rels, 3) is make_quotient_context(
+        ["s", "t"], [{(2, 0): -1, (1, 1): 2}], 3
+    )
+
+
+def test_block_labels_tell_equal_blocks_apart():
+    a = make_truncated_context([("e", 2, 2)])
+    b = make_truncated_context([("f", 2, 2)])
+    assert a is not b and a != b  # the generator names differ too
+    # one block of one generator names it exactly: only the label differs
+    q = make_quotient_context(["e"], [], 2)
+    t = make_truncated_context([("e", 1, 2)])
+    assert q.names == t.names and q is not t and q == t
+
+
+def test_a_context_nobody_holds_is_collected():
+    ctx = make_quotient_context(["s", "t", "r"], [{(1, 1, 0): 1}, {(0, 2, 0): 1}], 4)
+    ctx.vanishes_from(4)  # fill its caches
+    gone = weakref.ref(ctx)
+    (key,) = [k for k, c in weil._contexts.items() if c is ctx]
+    del ctx
+    gc.collect()
+    assert gone() is None
+    assert key not in weil._contexts
+    again = make_quotient_context(["s", "t", "r"], [{(1, 1, 0): 1}, {(0, 2, 0): 1}], 4)
+    assert again._bases == {}
+
+
 # -- the degree from which a quotient vanishes ------------------------------------------
 
 QUOTIENT_MODELS = {
@@ -671,6 +753,27 @@ def test_vanishing_degree_matches_membership(model):
     top_down = {d: ctx.vanishes_from(d) for d in reversed(degrees)}
     fresh = QUOTIENT_MODELS[model]()
     assert [top_down[d] for d in degrees] == want == [fresh.vanishes_from(d) for d in degrees]
+
+
+@pytest.mark.parametrize(
+    "model", ["nilsquare-2-3", "nilsquare-3-3", "nilsquare-2-4", "symmetric-2-2-3-cap4"]
+)
+def test_vanishing_degree_bottom_up_on_a_context_with_no_bases(model):
+    ctx = QUOTIENT_MODELS[model]()
+    member = ideal_membership(ctx.relations, ctx.ngens, ctx.max_degree)
+    degrees = range(ctx.max_degree + 2)
+    want = [all(member({m: Fraction(1)}) for m in _of_degree(ctx.ngens, d)) for d in degrees]
+    assert [ctx.vanishes_from(d) for d in reversed(degrees)][::-1] == want
+    # drop every holder of the first context, so the next one starts empty
+    _MODEL_CONTEXTS.pop(model, None)
+    gone = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert gone() is None
+    fresh = QUOTIENT_MODELS[model]()
+    # building the model's points reads degree 1 only
+    assert set(fresh._bases) <= {1} and fresh._top == fresh.max_degree
+    assert [fresh.vanishes_from(d) for d in degrees] == want
 
 
 def test_vanishing_degree_under_binding_caps(mixed_member):
