@@ -7,13 +7,18 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 on errors
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from typing import Optional
 
-from .dsl import ParseError, parse_scenario
+from .dsl import ParseError, Scenario, parse_scenario
 from .report import CheckReport
 from .runner import build_env, evaluate_expression, format_value, run_scenario
+
+# surrogateescape reads each byte that is no UTF-8 as one of these; re caches the pattern
+_NOT_UTF8 = "[\udc80-\udcff]"
 
 
 def _emit(report: CheckReport, as_json: bool) -> None:
@@ -25,10 +30,27 @@ def _emit(report: CheckReport, as_json: bool) -> None:
 
 def _read(path: str) -> Optional[str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+    bad = re.search(_NOT_UTF8, text)
+    if bad:
+        before = text[: bad.start()]
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        found = f"byte 0x{ord(bad[0]) - 0xDC00:02x}"
+        print(f"{path}:{line}:{col}: expected UTF-8 text, found {found}", file=sys.stderr)
+        return None
+    return text
+
+
+def _parse(path: str, text: str) -> Optional[Scenario]:
+    """The scenario in ``text``, or None after a positional error on stderr."""
+    try:
+        return parse_scenario(text)
+    except ParseError as exc:
+        print(f"{path}:{exc.line}:{exc.column}: {exc}", file=sys.stderr)
         return None
 
 
@@ -36,10 +58,8 @@ def _cmd_check(args) -> int:
     text = _read(args.file)
     if text is None:
         return 2
-    try:
-        scenario = parse_scenario(text)
-    except ParseError as exc:
-        print(f"{args.file}:{exc.line}:{exc.column}: {exc}", file=sys.stderr)
+    scenario = _parse(args.file, text)
+    if scenario is None:
         return 2
     report = run_scenario(scenario)
     _emit(report, args.json)
@@ -59,8 +79,10 @@ def _cmd_eval(args) -> int:
     text = _read(args.file)
     if text is None:
         return 2
+    scenario = _parse(args.file, text)
+    if scenario is None:
+        return 2
     try:
-        scenario = parse_scenario(text)
         env = build_env(scenario)
         value = evaluate_expression(env, args.expr)
     except ParseError as exc:
@@ -73,7 +95,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.  ``parse_args`` keeps no
+    state in it: every call fills a fresh namespace from the defaults."""
     parser = argparse.ArgumentParser(
         prog="weilaff",
         description="exact checks for infinitesimal-neighborhood constructions",
@@ -95,8 +120,11 @@ def main(argv=None) -> int:
     p_eval.add_argument("file", help="scenario file providing declarations")
     p_eval.add_argument("--expr", required=True, help="expression to evaluate")
     p_eval.set_defaults(fn=_cmd_eval)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

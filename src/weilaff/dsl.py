@@ -17,13 +17,22 @@ lists in check arguments are parenthesized and `;`-separated, so a literal
 coordinate tuple inside a list reads `((1, 2); Q)`.  Quotient relations use
 the quotient's own generators (`q[1]*q[2]`), connection entries use the
 coordinate names `x1..xn`.
+
+Tokens come from one compiled pattern, the token table `_TOKEN_PATTERN`,
+scanned with maximal munch.  After blanks (space, tab, `\r`) comes an ASCII
+integer of at most 4,300 digits, a name (`str.isalnum` or `_`, starting with
+`str.isalpha` or `_`), `->` or one of `(){}[],;=+-*/^`, a newline (a token
+only outside brackets), a `#` comment to the end of the line (the NEWLINE or
+EOF after it keeps the comment's column) or the end of input.  Anything else
+is a ParseError at its line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .polymap import Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Var, expr_to_poly
 
@@ -225,14 +234,25 @@ class Scenario:
 
 # -- lexer -------------------------------------------------------------------------
 
-_PUNCT2 = ("->",)
-_PUNCT1 = "(){}[],;=+-*/^"
 # CPython's default limit on int(str): a longer literal would raise ValueError
 _MAX_INT_DIGITS = 4300
 
+# No quantifier nests, and after the blanks every position matches one
+# alternative, tried in this order: no match backtracks, so a scan is linear.
+_TOKEN_PATTERN = (
+    r"(?s)[ \t\r]*(?:"
+    r"([0-9]+)"  # 1 INT: ASCII digits only, str.isdigit also takes "²" and "٣"
+    r"|(\w+)"  # 2 NAME: \w is str.isalnum or _, so only the first character is checked
+    r"|(->|[(){}\[\],;=+\-*/^])"  # 3 punctuation
+    r"|(\n)"  # 4 newline
+    r"|(#[^\n]*)"  # 5 comment
+    r"|(\Z)"  # 6 end of input
+    r"|(.))"  # 7 no token
+)
+_INT, _NAME, _PUNCT, _NEWLINE, _COMMENT, _EOF = range(1, 7)
 
-@dataclass(frozen=True)
-class _Tok:
+
+class _Tok(NamedTuple):
     type: str  # NAME INT NEWLINE EOF or the punct itself
     value: str
     line: int
@@ -241,63 +261,46 @@ class _Tok:
 
 def _lex(text: str):
     toks = []
-    line, col = 1, 1
-    depth = 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            if depth == 0:
-                toks.append(_Tok("NEWLINE", "\\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Tok("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        # ASCII digits only: ``str.isdigit`` also takes "²" and "٣"
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > _MAX_INT_DIGITS:
-                raise ParseError(
-                    line, col, f"an integer of at most {_MAX_INT_DIGITS} digits", f"{j - i} digits"
-                )
-            toks.append(_Tok("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT1:
-            if ch in "([{":
+    append = toks.append
+    new = tuple.__new__  # _Tok without its Python-level __new__
+    line, line_start = 1, 0  # columns count from the line's start
+    depth = 0  # brackets open; a newline inside them is no token
+    held = 0  # a comment's column: the NEWLINE or EOF after it reports that
+    # re's own cache keeps the compiled pattern: compiled on first use, not on import
+    for m in re.finditer(_TOKEN_PATTERN, text):
+        group = m.lastindex
+        value = m[group]
+        col = m.start(group) - line_start + 1
+        if group == _NAME:
+            # INT took the ASCII digits; a run that starts with "²" or "٣" is no name
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(line, col, "a token", repr(value[0]))
+            append(new(_Tok, ("NAME", value, line, col)))
+        elif group == _PUNCT:
+            if value in "([{":
                 depth += 1
-            elif ch in ")]}":
-                depth = max(0, depth - 1)
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, "a token", repr(ch))
-    toks.append(_Tok("EOF", "end of input", line, col))
+            elif depth and value in ")]}":
+                depth -= 1
+            append(new(_Tok, (value, value, line, col)))
+        elif group == _INT:
+            if len(value) > _MAX_INT_DIGITS:
+                raise ParseError(
+                    line, col, f"an integer of at most {_MAX_INT_DIGITS} digits", f"{len(value)} digits"
+                )
+            append(new(_Tok, ("INT", value, line, col)))
+        elif group == _NEWLINE:
+            if not depth:
+                append(new(_Tok, ("NEWLINE", "\\n", line, held or col)))
+            line += 1
+            line_start = m.end()
+            held = 0
+        elif group == _COMMENT:
+            held = col
+        elif group == _EOF:
+            break
+        else:
+            raise ParseError(line, col, "a token", repr(value))
+    append(new(_Tok, ("EOF", "end of input", line, held or col)))
     return toks
 
 
@@ -317,31 +320,30 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.pos = 0
+        self.tok = self.toks[0]  # toks[pos]; ``advance`` never moves past EOF
         self.symbols: dict = {}
 
     # token plumbing
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
     def advance(self) -> _Tok:
-        t = self.toks[self.pos]
+        t = self.tok
         if t.type != "EOF":
             self.pos += 1
+            self.tok = self.toks[self.pos]
         return t
 
     def fail(self, expected: str, tok: Optional[_Tok] = None):
-        tok = tok or self.peek()
+        tok = tok or self.tok
         found = tok.value if tok.type != "NEWLINE" else "end of line"
         raise ParseError(tok.line, tok.col, expected, found)
 
     def expect(self, type_: str, expected: Optional[str] = None) -> _Tok:
-        if self.peek().type != type_:
+        if self.tok.type != type_:
             self.fail(expected or f"'{type_}'")
         return self.advance()
 
     def expect_word(self, word: str) -> _Tok:
-        t = self.peek()
+        t = self.tok
         if t.type != "NAME" or t.value != word:
             self.fail(f"'{word}'")
         return self.advance()
@@ -350,11 +352,11 @@ class _Parser:
         return int(self.expect("INT", what).value)
 
     def skip_newlines(self):
-        while self.peek().type == "NEWLINE":
+        while self.tok.type == "NEWLINE":
             self.advance()
 
     def end_statement(self):
-        t = self.peek()
+        t = self.tok
         if t.type not in ("NEWLINE", "EOF"):
             self.fail("end of statement")
 
@@ -383,36 +385,27 @@ class _Parser:
         stmts = []
         version = None
         self.skip_newlines()
-        if self.peek().type == "NAME" and self.peek().value == "version":
+        if self.tok.type == "NAME" and self.tok.value == "version":
             self.advance()
             version = self.expect_int("a version number")
             if version != 1:
                 self.fail("version 1", self.toks[self.pos - 1])
             self.end_statement()
             self.skip_newlines()
-        while self.peek().type != "EOF":
+        while self.tok.type != "EOF":
             stmts.append(self.statement())
             self.end_statement()
             self.skip_newlines()
         return Scenario(version, tuple(stmts))
 
     def statement(self):
-        t = self.peek()
+        t = self.tok
         if t.type != "NAME":
             self.fail("a statement keyword")
-        handler = {
-            "block": self.stmt_block,
-            "quotient": self.stmt_quotient,
-            "point": self.stmt_point,
-            "map": self.stmt_map,
-            "form": self.stmt_form,
-            "connection": self.stmt_connection,
-            "retract": self.stmt_retract,
-            "check": self.stmt_check,
-        }.get(t.value)
+        handler = _Parser.STATEMENTS.get(t.value)
         if handler is None:
             self.fail("a statement keyword (block/quotient/point/map/form/connection/retract/check)")
-        return handler()
+        return handler(self)
 
     # declarations
 
@@ -438,7 +431,7 @@ class _Parser:
         self.expect_word("relations")
         self.expect("{")
         rels = [self.polynomial({}, nvars, family=name_tok.value)]
-        while self.peek().type == ",":
+        while self.tok.type == ",":
             self.advance()
             rels.append(self.polynomial({}, nvars, family=name_tok.value))
         self.expect("}")
@@ -448,7 +441,7 @@ class _Parser:
         line = self.advance().line
         name_tok = self.expect("NAME", "a point name")
         self.expect("=")
-        start = self.peek()
+        start = self.tok
         expr = self.vecexpr()
         dim = self.infer_vector(expr, start)
         self.declare(name_tok, _Sym("point", dim))
@@ -459,7 +452,7 @@ class _Parser:
         name_tok = self.expect("NAME", "a map name")
         self.expect("(")
         params = [self.expect("NAME", "a parameter name").value]
-        while self.peek().type == ",":
+        while self.tok.type == ",":
             self.advance()
             params.append(self.expect("NAME", "a parameter name").value)
         self.expect(")")
@@ -470,10 +463,10 @@ class _Parser:
         self.expect("{")
         env = {p: i for i, p in enumerate(params)}
         bodies = [self.map_body(env)]
-        while self.peek().type == ",":
+        while self.tok.type == ",":
             self.advance()
             bodies.append(self.map_body(env))
-        close = self.peek()
+        close = self.tok
         self.expect("}")
         if len(bodies) != out_dim:
             self.fail(f"{out_dim} component expression(s)", close)
@@ -490,10 +483,10 @@ class _Parser:
         dim = self.positive_int("dim >= 1")
         self.expect("{")
         entries = {}
-        while self.peek().type == "[":
+        while self.tok.type == "[":
             open_tok = self.advance()
             idx = [self.expect_int("a coordinate index")]
-            while self.peek().type == ",":
+            while self.tok.type == ",":
                 self.advance()
                 idx.append(self.expect_int("a coordinate index"))
             self.expect("]")
@@ -519,7 +512,7 @@ class _Parser:
         varmap = {f"x{j}": j - 1 for j in range(1, dim + 1)}
         self.expect("{")
         entries = {}
-        while self.peek().type == "NAME" and self.peek().value == "GAMMA":
+        while self.tok.type == "NAME" and self.tok.value == "GAMMA":
             gtok = self.advance()
             self.expect("[")
             i = self.expect_int("a component index")
@@ -560,24 +553,13 @@ class _Parser:
 
     def stmt_check(self):
         line = self.advance().line
-        kind_tok = self.peek()
+        kind_tok = self.tok
         kind = self.check_kind()
-        handler = {
-            "in-Dk": self.check_membership,
-            "in-DNk": self.check_membership,
-            "i-tuple": self.check_membership,
-            "nilsquare": self.check_membership,
-            "i-morphism": self.check_imorphism,
-            "axioms": self.check_axioms,
-            "equiv-connection": self.check_equiv,
-            "pullback-lemma": self.check_pullback,
-            "idempotent": self.check_idempotent,
-        }[kind]
-        return handler(kind, kind_tok, line)
+        return _Parser.CHECKS[kind](self, kind, kind_tok, line)
 
     def check_kind(self) -> str:
         parts = [self.expect("NAME", "a check kind").value]
-        while self.peek().type == "-":
+        while self.tok.type == "-":
             self.advance()
             parts.append(self.expect("NAME", "rest of the check kind").value)
         kind = "-".join(parts)
@@ -628,7 +610,7 @@ class _Parser:
         self.expect_word("weights")
         weights = self.weight_rows(len(points))
         outer = ()
-        if self.peek().type == "NAME" and self.peek().value == "outer":
+        if self.tok.type == "NAME" and self.tok.value == "outer":
             self.advance()
             outer = self.weight_row(len(weights))
         return CheckDecl(
@@ -674,11 +656,33 @@ class _Parser:
             self.fail("a square map (idempotents need in-dim == out-dim)", name_tok)
         ambient = sym.b
         self.expect_word("at")
-        start = self.peek()
+        start = self.tok
         at = self.vecexpr()
         if self.infer_vector(at, start) != ambient:
             self.fail(f"a base point of dimension {ambient}", start)
         return CheckDecl(kind, target=name_tok.value, at=at, line=line)
+
+    STATEMENTS = {
+        "block": stmt_block,
+        "quotient": stmt_quotient,
+        "point": stmt_point,
+        "map": stmt_map,
+        "form": stmt_form,
+        "connection": stmt_connection,
+        "retract": stmt_retract,
+        "check": stmt_check,
+    }
+    CHECKS = {
+        "in-Dk": check_membership,
+        "in-DNk": check_membership,
+        "i-tuple": check_membership,
+        "nilsquare": check_membership,
+        "i-morphism": check_imorphism,
+        "axioms": check_axioms,
+        "equiv-connection": check_equiv,
+        "pullback-lemma": check_pullback,
+        "idempotent": check_idempotent,
+    }
 
     # shared argument helpers
 
@@ -689,7 +693,7 @@ class _Parser:
 
     def positive_int(self, expected: str, what: str = "an integer") -> int:
         """An integer token; below 1 it fails at that token with ``expected``."""
-        tok = self.peek()
+        tok = self.tok
         value = self.expect_int(what)
         if value < 1:
             self.fail(expected, tok)
@@ -698,12 +702,12 @@ class _Parser:
     def vector_list(self):
         """Parenthesized `;`-separated VECEXPRs; returns (tuple, common dim)."""
         self.expect("(")
-        start = self.peek()
+        start = self.tok
         items = [self.vecexpr()]
         dims = [self.infer_vector(items[0], start)]
-        while self.peek().type == ";":
+        while self.tok.type == ";":
             self.advance()
-            start = self.peek()
+            start = self.tok
             items.append(self.vecexpr())
             dims.append(self.infer_vector(items[-1], start))
         self.expect(")")
@@ -714,7 +718,7 @@ class _Parser:
     def weight_row(self, width: int):
         open_tok = self.expect("(")
         vals = [self.rational()]
-        while self.peek().type == ",":
+        while self.tok.type == ",":
             self.advance()
             vals.append(self.rational())
         self.expect(")")
@@ -727,7 +731,7 @@ class _Parser:
     def weight_rows(self, width: int):
         self.expect("(")
         rows = [self.weight_row(width)]
-        while self.peek().type == ";":
+        while self.tok.type == ";":
             self.advance()
             rows.append(self.weight_row(width))
         self.expect(")")
@@ -735,12 +739,12 @@ class _Parser:
 
     def rational(self) -> Fraction:
         neg = False
-        if self.peek().type == "-":
+        if self.tok.type == "-":
             self.advance()
             neg = True
         num = self.expect_int("a rational number")
         den = 1
-        if self.peek().type == "/":
+        if self.tok.type == "/":
             self.advance()
             den = self.expect_int("a denominator")
             if den == 0:
@@ -756,47 +760,47 @@ class _Parser:
 
     def map_body(self, env) -> tuple:
         """One map component: its AST and its lowering over the parameters."""
-        start = self.peek()
+        start = self.tok
         node = self.expr(env=env, calls="sqrt")
         return node, self.lower(node, env, start)
 
     def expr(self, env, calls):
         node = self.mulexpr(env, calls)
-        while self.peek().type in ("+", "-"):
+        while self.tok.type in ("+", "-"):
             op = self.advance().type
             node = _fold(EBin(op, node, self.mulexpr(env, calls)))
         return node
 
     def mulexpr(self, env, calls):
         node = self.unary(env, calls)
-        while self.peek().type in ("*", "/"):
+        while self.tok.type in ("*", "/"):
             op = self.advance().type
             node = _fold(EBin(op, node, self.unary(env, calls)))
         return node
 
     def unary(self, env, calls):
-        if self.peek().type == "-":
+        if self.tok.type == "-":
             self.advance()
             return _fold(ENeg(self.unary(env, calls)))
         node = self.atom(env, calls)
-        if self.peek().type == "^":
+        if self.tok.type == "^":
             self.advance()
             node = EPow(node, self.expect_int("a nonnegative integer exponent"))
         return node
 
     def atom(self, env, calls):
-        t = self.peek()
+        t = self.tok
         if t.type == "INT":
             self.advance()
             return ENum(Fraction(int(t.value)))
         if t.type == "(":
             self.advance()
             first = self.expr(env, calls)
-            if self.peek().type == ",":
+            if self.tok.type == ",":
                 items = [first]
-                while self.peek().type == ",":
+                while self.tok.type == ",":
                     self.advance()
-                    if self.peek().type == ")":  # 1-tuple: "(x,)"
+                    if self.tok.type == ")":  # 1-tuple: "(x,)"
                         break
                     items.append(self.expr(env, calls))
                 self.expect(")")
@@ -805,12 +809,12 @@ class _Parser:
             return first
         if t.type == "NAME":
             self.advance()
-            if self.peek().type == "(" and calls:
+            if self.tok.type == "(" and calls:
                 if calls == "sqrt" and t.value != "sqrt":
                     self.fail("sqrt (the only call allowed here)", t)
                 self.advance()
                 args = [self.expr(env, calls)]
-                while self.peek().type == ",":
+                while self.tok.type == ",":
                     self.advance()
                     args.append(self.expr(env, calls))
                 self.expect(")")
@@ -819,9 +823,9 @@ class _Parser:
                 if t.value != "sqrt":
                     self.lookup(t, ("map",))
                 return ECall(t.value, tuple(args))
-            if self.peek().type == "[":
+            if self.tok.type == "[":
                 self.advance()
-                itok = self.peek()
+                itok = self.tok
                 index = self.expect_int("a generator index")
                 self.expect("]")
                 if env is not None:
@@ -891,7 +895,7 @@ class _Parser:
     def polynomial(self, varmap: dict, nvars: int, homogeneous: bool = True, family=None) -> Poly:
         """Fold an expression into a polynomial over ``nvars`` variables: the
         bare names of ``varmap``, or the indexed generators ``family[i]``."""
-        start = self.peek()
+        start = self.tok
         expr = self.expr(env=None, calls=False)
         poly = expr_to_poly(self.lower(expr, varmap, start, family), nvars)
         if poly is None:
@@ -964,13 +968,11 @@ def parse_scenario(text: str) -> Scenario:
 
 def parse_expression(text: str) -> object:
     """Parse a standalone expression (the CLI eval surface: calls allowed)."""
-    p = _Parser("")
-    p.toks = _lex(text.replace("\n", " "))
-    p.pos = 0
+    p = _Parser(text.replace("\n", " "))
     # no symbol table: name resolution happens at evaluation time
     p.lookup = lambda tok, kinds: _Sym("block", 10 ** 9, 10 ** 9)  # type: ignore[assignment]
     node = p.expr(env=None, calls=True)
-    if p.peek().type != "EOF":
+    if p.tok.type != "EOF":
         p.fail("end of expression")
     return node
 

@@ -213,3 +213,84 @@ def as_dense(element) -> Dense:
 
 def point_dense(point) -> List[Dense]:
     return [as_dense(c) for c in point.coords]
+
+
+# -- scenario lexer (one character at a time) --------------------------------------
+
+_PUNCT = "(){}[],;=+-*/^"
+_MAX_INT_DIGITS = 4300  # CPython's default limit on int(str)
+
+
+class LexError(Exception):
+    """A lexing error at a 1-based position, with ``weilaff.ParseError``'s message."""
+
+    def __init__(self, line: int, column: int, expected: str, found: str):
+        self.line = line
+        self.column = column
+        super().__init__(f"line {line}, col {column}: expected {expected}, found {found}")
+
+
+def lex(text: str) -> List[Tuple[str, str, int, int]]:
+    """Scenario tokens as (type, value, line, col), read one character at a time.
+
+    A comment does not advance the column, so the NEWLINE or EOF after it
+    carries the column where the comment starts.
+    """
+    toks = []
+    line, col = 1, 1
+    depth = 0
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            if depth == 0:
+                toks.append(("NEWLINE", "\\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("->", i):
+            toks.append(("->", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            if j - i > _MAX_INT_DIGITS:
+                raise LexError(
+                    line, col, f"an integer of at most {_MAX_INT_DIGITS} digits", f"{j - i} digits"
+                )
+            toks.append(("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            if ch in "([{":
+                depth += 1
+            elif ch in ")]}":
+                depth = max(0, depth - 1)
+            toks.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise LexError(line, col, "a token", repr(ch))
+    toks.append(("EOF", "end of input", line, col))
+    return toks

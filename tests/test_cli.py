@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, JSON schema, and output stability."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
+from weilaff import cli
 from weilaff.cli import main
 
 
@@ -114,6 +116,25 @@ def test_check_missing_file(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"block d vars 2 cap 2\npoint P = (\xff, 0)\n", "2:12"),
+        # the position counts characters of the valid prefix, \r\n as one newline
+        (b"# \xc3\xa9\r\nx \xc3\x9f\xff", "2:4"),
+    ],
+    ids=["ascii-prefix", "crlf-multibyte-prefix"],
+)
+@pytest.mark.parametrize("command", [["check"], ["eval", "--expr", "1"]], ids=["check", "eval"])
+def test_non_utf8_file_exit_2(tmp_path, capsys, data, where, command):
+    path = tmp_path / "bytes.weil"
+    path.write_bytes(data)
+    code, out, err = run_main(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"{path}:{where}: expected UTF-8 text, found byte 0xff\n"
+
+
 # -- json schema -------------------------------------------------------------------------
 
 
@@ -185,6 +206,15 @@ def test_eval_expression_parse_error(tmp_path, capsys):
     assert err.startswith("1:4: ")
 
 
+def test_eval_scenario_parse_error_names_the_file(tmp_path, capsys):
+    path = write(tmp_path, "block d vars 2 cap\n")
+    code, out, err = run_main(capsys, "eval", path, "--expr", "d[1]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{path}:1:19: ")
+    assert "expected an integer" in err
+
+
 # -- selftest ----------------------------------------------------------------------------
 
 
@@ -210,6 +240,55 @@ def test_selftest_other_seed_still_passes(capsys):
     code, out, _ = run_main(capsys, "selftest", "--grid", "small", "--seed", "17", "--json")
     assert code == 0
     assert json.loads(out)["summary"]["fail"] == 0
+
+
+# -- one parser per process -------------------------------------------------------------
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    path = write(tmp_path, GOOD)
+    for _ in range(5):
+        assert main(["check", path, "--json"]) == 0
+    capsys.readouterr()
+    # one parser and its three subcommands, built once
+    assert built == ["weilaff", "weilaff check", "weilaff selftest", "weilaff eval"]
+
+
+def test_one_process_answers_as_one_call_per_run(tmp_path, capsys):
+    good = write(tmp_path, GOOD)
+    session = [
+        ["check", good],
+        ["check", write(tmp_path, "block d vars 2 cap\n", "bad.wa"), "--json"],
+        ["selftest", "--grid", "small", "--json", "--seed", "3"],
+        ["eval", write(tmp_path, EVAL_DECLS, "decls.wa"), "--expr", "f(Q)"],
+        ["check", good],
+    ]
+
+    def answer(argv):
+        code, out, err = run_main(capsys, *argv)
+        if out.startswith("{"):
+            out = json.dumps(strip_millis(json.loads(out)))
+        return code, out, err
+
+    shared = [answer(argv) for argv in session]
+    fresh = []
+    for argv in session:
+        cli._parser.cache_clear()
+        fresh.append(answer(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
+    # neither --json nor --seed carries over to a later call
+    assert shared[-1] == shared[0]
+    assert shared[0][1].startswith("PASS ")
 
 
 # -- module entry point ------------------------------------------------------------------
