@@ -18,6 +18,12 @@ coordinate tuple inside a list reads `((1, 2); Q)`.  Quotient relations use
 the quotient's own generators (`q[1]*q[2]`), connection entries use the
 coordinate names `x1..xn`.
 
+Arithmetic parses straight to `polymap.Expr` nodes; two literals fold into
+one `Const` (`3/2`) before any node is built.  In a map body, a relation or
+a GAMMA entry, names resolve to `Var` as they are read.  Points, check
+vectors and `eval --expr` strings add the leaves `ERef` (a point or an
+indexed generator), `EVec` (a coordinate tuple) and `ECall` (a map call).
+
 Tokens come from one compiled pattern, the token table `_TOKEN_PATTERN`,
 scanned with maximal munch.  After blanks (space, tab, `\r`) comes an ASCII
 integer of at most 4,300 digits, a name (`str.isalnum` or `_`, starting with
@@ -29,6 +35,7 @@ is a ParseError at its line and column.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,12 +45,8 @@ from .polymap import Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Va
 
 __all__ = [
     "ParseError",
-    "ENum",
     "ERef",
     "ECall",
-    "ENeg",
-    "EPow",
-    "EBin",
     "EVec",
     "BlockDecl",
     "QuotientDecl",
@@ -91,48 +94,23 @@ class ParseError(Exception):
         super().__init__(f"line {line}, col {column}: expected {expected}, found {found}")
 
 
-# -- expression AST ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ENum:
-    value: Fraction
+# -- expression leaves: the operators are polymap.Expr nodes -------------------------
 
 
 @dataclass(frozen=True)
 class ERef:
-    """A bare name, or an indexed generator reference ``name[i]`` (1-based).
-
-    ``tok`` is the source token of the name, kept for error positions.
-    """
+    """A bare name, or an indexed generator reference ``name[i]`` (1-based)."""
 
     name: str
     index: Optional[int] = None
-    tok: Optional["_Tok"] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ECall:
+    """A call of a declared map (``eval --expr`` only)."""
+
     name: str
     args: tuple
-
-
-@dataclass(frozen=True)
-class ENeg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class EPow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class EBin:
-    op: str  # + - * /
-    left: object
-    right: object
 
 
 @dataclass(frozen=True)
@@ -145,8 +123,7 @@ class EVec:
 # -- statements --------------------------------------------------------------------
 
 # Relations and GAMMA entries are held as :class:`Poly`, so scenario equality
-# is syntax-independent; map bodies keep their syntax, and their lowering to
-# polymap expressions rides along outside equality.
+# is syntax-independent; map bodies are polymap expressions over the parameters.
 
 @dataclass(frozen=True)
 class BlockDecl:
@@ -178,9 +155,8 @@ class MapDecl:
     name: str
     params: tuple
     out_dim: int
-    bodies: tuple  # expression ASTs, one per output component
+    bodies: tuple  # polymap Expr in Var(0..) = params, one per output component
     line: int = field(compare=False, default=0)
-    exprs: tuple = field(compare=False, default=())  # bodies lowered to polymap Expr
 
 
 @dataclass(frozen=True)
@@ -322,6 +298,8 @@ class _Parser:
         self.pos = 0
         self.tok = self.toks[0]  # toks[pos]; ``advance`` never moves past EOF
         self.symbols: dict = {}
+        self.scope: Optional[_Scope] = None  # set while a scalar body is read
+        self.calls = False  # map calls: only in ``eval --expr`` strings
 
     # token plumbing
 
@@ -442,7 +420,7 @@ class _Parser:
         name_tok = self.expect("NAME", "a point name")
         self.expect("=")
         start = self.tok
-        expr = self.vecexpr()
+        expr = self.expr()
         dim = self.infer_vector(expr, start)
         self.declare(name_tok, _Sym("point", dim))
         return PointDecl(name_tok.value, expr, dim=dim, line=line)
@@ -461,18 +439,17 @@ class _Parser:
         self.expect("->")
         out_dim = self.positive_int("output dimension >= 1", "the output dimension")
         self.expect("{")
-        env = {p: i for i, p in enumerate(params)}
-        bodies = [self.map_body(env)]
+        names = {p: i for i, p in enumerate(params)}
+        bodies = [self.scalar_body(names, body=True)]
         while self.tok.type == ",":
             self.advance()
-            bodies.append(self.map_body(env))
+            bodies.append(self.scalar_body(names, body=True))
         close = self.tok
         self.expect("}")
         if len(bodies) != out_dim:
             self.fail(f"{out_dim} component expression(s)", close)
         self.declare(name_tok, _Sym("map", len(params), out_dim))
-        nodes, exprs = zip(*bodies)
-        return MapDecl(name_tok.value, tuple(params), out_dim, nodes, line=line, exprs=exprs)
+        return MapDecl(name_tok.value, tuple(params), out_dim, tuple(bodies), line=line)
 
     def stmt_form(self):
         line = self.advance().line
@@ -509,7 +486,7 @@ class _Parser:
         name_tok = self.expect("NAME", "a connection name")
         self.expect_word("dim")
         dim = self.positive_int("dim >= 1")
-        varmap = {f"x{j}": j - 1 for j in range(1, dim + 1)}
+        names = {f"x{j}": j - 1 for j in range(1, dim + 1)}
         self.expect("{")
         entries = {}
         while self.tok.type == "NAME" and self.tok.value == "GAMMA":
@@ -528,7 +505,7 @@ class _Parser:
             if key in entries:
                 self.fail("a fresh GAMMA entry (duplicate after symmetrization)", gtok)
             self.expect("=")
-            entries[key] = self.polynomial(varmap, dim, homogeneous=False)
+            entries[key] = self.polynomial(names, dim, homogeneous=False)
         self.expect("}")
         self.declare(name_tok, _Sym("connection", dim))
         return ConnectionDecl(name_tok.value, dim, tuple(sorted(entries.items())), line=line)
@@ -657,7 +634,7 @@ class _Parser:
         ambient = sym.b
         self.expect_word("at")
         start = self.tok
-        at = self.vecexpr()
+        at = self.expr()
         if self.infer_vector(at, start) != ambient:
             self.fail(f"a base point of dimension {ambient}", start)
         return CheckDecl(kind, target=name_tok.value, at=at, line=line)
@@ -703,12 +680,12 @@ class _Parser:
         """Parenthesized `;`-separated VECEXPRs; returns (tuple, common dim)."""
         self.expect("(")
         start = self.tok
-        items = [self.vecexpr()]
+        items = [self.expr()]
         dims = [self.infer_vector(items[0], start)]
         while self.tok.type == ";":
             self.advance()
             start = self.tok
-            items.append(self.vecexpr())
+            items.append(self.expr())
             dims.append(self.infer_vector(items[-1], start))
         self.expect(")")
         if len(set(dims)) > 1:
@@ -754,95 +731,111 @@ class _Parser:
 
     # expressions
 
-    def vecexpr(self):
-        """Additive expression over points / generator refs / literal tuples."""
-        return self.expr(env=None, calls=False)
+    def scalar_body(self, names: dict, family=None, body=False) -> Expr:
+        """One scalar body, its names resolved by the rules of :class:`_Scope`."""
+        self.scope = _Scope(names, family, self.tok, body)
+        node = self.expr()
+        self.scope = None
+        return node
 
-    def map_body(self, env) -> tuple:
-        """One map component: its AST and its lowering over the parameters."""
-        start = self.tok
-        node = self.expr(env=env, calls="sqrt")
-        return node, self.lower(node, env, start)
-
-    def expr(self, env, calls):
-        node = self.mulexpr(env, calls)
+    def expr(self):
+        node = self.mulexpr()
         while self.tok.type in ("+", "-"):
             op = self.advance().type
-            node = _fold(EBin(op, node, self.mulexpr(env, calls)))
+            node = _binop(op, node, self.mulexpr())
         return node
 
-    def mulexpr(self, env, calls):
-        node = self.unary(env, calls)
+    def mulexpr(self):
+        node = self.unary()
         while self.tok.type in ("*", "/"):
             op = self.advance().type
-            node = _fold(EBin(op, node, self.unary(env, calls)))
+            node = _binop(op, node, self.unary())
         return node
 
-    def unary(self, env, calls):
+    def unary(self):
         if self.tok.type == "-":
             self.advance()
-            return _fold(ENeg(self.unary(env, calls)))
-        node = self.atom(env, calls)
+            node = self.unary()
+            return Const(-node.value) if type(node) is Const else Neg(node)
+        node = self.atom()
         if self.tok.type == "^":
             self.advance()
-            node = EPow(node, self.expect_int("a nonnegative integer exponent"))
+            node = Power(node, self.expect_int("a nonnegative integer exponent"))
         return node
 
-    def atom(self, env, calls):
+    def atom(self):
         t = self.tok
+        scope = self.scope
         if t.type == "INT":
             self.advance()
-            return ENum(Fraction(int(t.value)))
+            return Const(Fraction(int(t.value)))
         if t.type == "(":
             self.advance()
-            first = self.expr(env, calls)
+            first = self.expr()
             if self.tok.type == ",":
                 items = [first]
                 while self.tok.type == ",":
                     self.advance()
                     if self.tok.type == ")":  # 1-tuple: "(x,)"
                         break
-                    items.append(self.expr(env, calls))
+                    items.append(self.expr())
                 self.expect(")")
+                if scope:  # after the ")": an unclosed tuple reports that first
+                    self.fail("a scalar expression", scope.start)
                 return EVec(tuple(items))
             self.expect(")")
             return first
         if t.type == "NAME":
             self.advance()
-            if self.tok.type == "(" and calls:
-                if calls == "sqrt" and t.value != "sqrt":
-                    self.fail("sqrt (the only call allowed here)", t)
-                self.advance()
-                args = [self.expr(env, calls)]
-                while self.tok.type == ",":
-                    self.advance()
-                    args.append(self.expr(env, calls))
-                self.expect(")")
-                if t.value == "sqrt" and len(args) != 1:
-                    self.fail("one argument to sqrt", t)
-                if t.value != "sqrt":
-                    self.lookup(t, ("map",))
-                return ECall(t.value, tuple(args))
+            if self.tok.type == "(" and (self.calls or scope and scope.body):
+                return self.call(t)
             if self.tok.type == "[":
                 self.advance()
                 itok = self.tok
                 index = self.expect_int("a generator index")
                 self.expect("]")
-                if env is not None:
+                if scope and scope.body:
                     self.fail("a parameter name (no generators inside map bodies)", t)
                 sym = self.lookup(t, ("block", "quotient"))
                 if not 1 <= index <= sym.a:
                     self.fail(f"an index in 1..{sym.a}", itok)
-                return ERef(t.value, index, tok=t)
-            if env is not None and t.value not in env:
+                if not scope:
+                    return ERef(t.value, index)
+                if t.value != scope.family:
+                    self.fail("this declaration's own generators", t)
+                return Var(index - 1)
+            if not scope:
+                return ERef(t.value)
+            if t.value in scope.names:
+                return Var(scope.names[t.value])
+            if scope.body:
                 self.fail("a declared parameter name", t)
-            return ERef(t.value, tok=t)
+            if scope.family is not None:
+                self.fail(f"an indexed generator like {scope.family}[1]", t)
+            self.fail("a polynomial in the declared variables", scope.start)
         self.fail("an expression")
+
+    def call(self, t: _Tok):
+        """``sqrt(x)``, or (``eval --expr`` only) a call of a declared map."""
+        if not self.calls and t.value != "sqrt":
+            self.fail("sqrt (the only call allowed here)", t)
+        self.advance()
+        args = [self.expr()]
+        while self.tok.type == ",":
+            self.advance()
+            args.append(self.expr())
+        self.expect(")")
+        if t.value == "sqrt":
+            if len(args) != 1:
+                self.fail("one argument to sqrt", t)
+            return Sqrt(args[0])
+        self.lookup(t, ("map",))
+        return ECall(t.value, tuple(args))
 
     # expression typing: returns dimension for vectors, 0 for scalars
 
     def typeof(self, node, tok) -> int:
-        if isinstance(node, ENum):
+        if isinstance(node, Const):
             return 0
         if isinstance(node, ERef):
             if node.index is not None:
@@ -858,31 +851,25 @@ class _Parser:
                 if self.typeof(item, tok) != 0:
                     self.fail("scalar tuple components", tok)
             return len(node.items)
-        if isinstance(node, ENeg):
+        if isinstance(node, Neg):
             return self.typeof(node.operand, tok)
-        if isinstance(node, EPow):
+        if isinstance(node, Power):
             if self.typeof(node.base, tok) != 0:
                 self.fail("a scalar base for ^", tok)
             return 0
-        if isinstance(node, ECall):
-            if node.name == "sqrt":
-                return 0
-            return self.symbols[node.name].b
-        if isinstance(node, EBin):
-            lt = self.typeof(node.left, tok)
-            rt = self.typeof(node.right, tok)
-            if node.op in ("+", "-"):
-                if lt != rt:
-                    self.fail("operands of equal dimension", tok)
-                return lt
-            if node.op == "*":
-                if lt and rt:
-                    self.fail("at most one vector factor", tok)
-                return lt or rt
-            if rt != 0:
-                self.fail("a scalar divisor", tok)
+        lt = self.typeof(node.left, tok)
+        rt = self.typeof(node.right, tok)
+        if isinstance(node, (Add, Sub)):
+            if lt != rt:
+                self.fail("operands of equal dimension", tok)
             return lt
-        raise AssertionError(node)
+        if isinstance(node, Mul):
+            if lt and rt:
+                self.fail("at most one vector factor", tok)
+            return lt or rt
+        if rt != 0:
+            self.fail("a scalar divisor", tok)
+        return lt
 
     def infer_vector(self, node, tok) -> int:
         dim = self.typeof(node, tok)
@@ -890,14 +877,11 @@ class _Parser:
             self.fail("a vector-valued expression", tok)
         return dim
 
-    # lowering to polymap expressions (map bodies, relations, connection entries)
-
-    def polynomial(self, varmap: dict, nvars: int, homogeneous: bool = True, family=None) -> Poly:
+    def polynomial(self, names: dict, nvars: int, homogeneous: bool = True, family=None) -> Poly:
         """Fold an expression into a polynomial over ``nvars`` variables: the
-        bare names of ``varmap``, or the indexed generators ``family[i]``."""
+        bare names of ``names``, or the indexed generators ``family[i]``."""
         start = self.tok
-        expr = self.expr(env=None, calls=False)
-        poly = expr_to_poly(self.lower(expr, varmap, start, family), nvars)
+        poly = expr_to_poly(self.scalar_body(names, family), nvars)
         if poly is None:
             self.fail("division by a nonzero constant", start)
         if poly.is_zero():
@@ -910,55 +894,33 @@ class _Parser:
                 self.fail("a relation of degree >= 2", start)
         return poly
 
-    def lower(self, node, varmap: dict, tok: _Tok, family=None) -> Expr:
-        """The polymap expression of a scalar body whose first token is ``tok``.
 
-        Variables are the bare names of ``varmap`` or the indexed generators
-        ``family[i]``; another family fails at its reference, while a bare name
-        or a tuple fails at ``tok``.
-        """
-        if isinstance(node, ENum):
-            return Const(node.value)
-        if isinstance(node, ERef):
-            if node.index is not None:
-                if node.name != family:
-                    self.fail("this declaration's own generators", node.tok)
-                return Var(node.index - 1)
-            if node.name in varmap:
-                return Var(varmap[node.name])
-            if family is not None:
-                self.fail(f"an indexed generator like {family}[1]", node.tok)
-            self.fail("a polynomial in the declared variables", tok)
-        if isinstance(node, ENeg):
-            return Neg(self.lower(node.operand, varmap, tok, family))
-        if isinstance(node, EPow):
-            return Power(self.lower(node.base, varmap, tok, family), node.exponent)
-        if isinstance(node, ECall):  # the parser admits only sqrt(x) here
-            return Sqrt(self.lower(node.args[0], varmap, tok, family))
-        if isinstance(node, EBin):
-            left = self.lower(node.left, varmap, tok, family)
-            return _BINOPS[node.op](left, self.lower(node.right, varmap, tok, family))
-        self.fail("a scalar expression", tok)
+class _Scope(NamedTuple):
+    """Where names resolve to ``Var`` as they are read: the bare ``names``, or
+    a quotient ``family``'s generators ``family[i]``.  A map ``body`` admits
+    only its parameters and ``sqrt``.  A tuple, or a bare name outside
+    ``names`` and with no ``family``, fails at the body's ``start`` token."""
+
+    names: dict
+    family: Optional[str]
+    start: _Tok
+    body: bool
 
 
-_BINOPS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_BINOPS = {
+    "+": (Add, operator.add),
+    "-": (Sub, operator.sub),
+    "*": (Mul, operator.mul),
+    "/": (Div, operator.truediv),
+}
 
 
-def _fold(node):
-    """Constant-fold rational arithmetic so `3/2` is a literal, not a division."""
-    if isinstance(node, ENeg) and isinstance(node.operand, ENum):
-        return ENum(-node.operand.value)
-    if isinstance(node, EBin) and isinstance(node.left, ENum) and isinstance(node.right, ENum):
-        a, b = node.left.value, node.right.value
-        if node.op == "+":
-            return ENum(a + b)
-        if node.op == "-":
-            return ENum(a - b)
-        if node.op == "*":
-            return ENum(a * b)
-        if b != 0:
-            return ENum(a / b)
-    return node
+def _binop(op: str, left, right):
+    """``left op right``; two literals fold into one Const, so `3/2` is a literal."""
+    node, fold = _BINOPS[op]
+    if type(left) is Const and type(right) is Const and (op != "/" or right.value):
+        return Const(fold(left.value, right.value))
+    return node(left, right)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -971,7 +933,8 @@ def parse_expression(text: str) -> object:
     p = _Parser(text.replace("\n", " "))
     # no symbol table: name resolution happens at evaluation time
     p.lookup = lambda tok, kinds: _Sym("block", 10 ** 9, 10 ** 9)  # type: ignore[assignment]
-    node = p.expr(env=None, calls=True)
+    p.calls = True
+    node = p.expr()
     if p.tok.type != "EOF":
         p.fail("end of expression")
     return node
@@ -979,36 +942,39 @@ def parse_expression(text: str) -> object:
 
 # -- rendering ---------------------------------------------------------------------
 
-_PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
+_BINOP_TEXT = {Add: ("+", 10), Sub: ("-", 10), Mul: ("*", 20), Div: ("/", 20)}
 
 
-def render_expr(node) -> str:
-    return _render(node, 0)
+def render_expr(node, names=()) -> str:
+    """Source text of an expression; ``Var(i)`` renders as ``names[i]``."""
+    return _render(node, 0, names)
 
 
-def _render(node, parent_prec: int) -> str:
-    if isinstance(node, ENum):
+def _render(node, parent_prec: int, names) -> str:
+    if isinstance(node, Const):
         return str(node.value)
+    if isinstance(node, Var):
+        return names[node.index]
     if isinstance(node, ERef):
         return node.name if node.index is None else f"{node.name}[{node.index}]"
     if isinstance(node, EVec):
-        inner = ", ".join(_render(item, 0) for item in node.items)
+        inner = ", ".join(_render(item, 0, names) for item in node.items)
         return f"({inner},)" if len(node.items) == 1 else f"({inner})"
     if isinstance(node, ECall):
-        return f"{node.name}({', '.join(_render(a, 0) for a in node.args)})"
-    if isinstance(node, ENeg):
-        text = f"-{_render(node.operand, 30)}"
+        return f"{node.name}({', '.join(_render(a, 0, names) for a in node.args)})"
+    if isinstance(node, Sqrt):
+        return f"sqrt({_render(node.operand, 0, names)})"
+    if isinstance(node, Neg):
+        text = f"-{_render(node.operand, 30, names)}"
         return f"({text})" if parent_prec > 30 else text
-    if isinstance(node, EPow):
-        text = f"{_render(node.base, 41)}^{node.exponent}"
+    if isinstance(node, Power):
+        text = f"{_render(node.base, 41, names)}^{node.exponent}"
         return f"({text})" if parent_prec > 40 else text
-    if isinstance(node, EBin):
-        prec = _PREC[node.op]
-        left = _render(node.left, prec)
-        right = _render(node.right, prec + 1)  # right-side ties get parens
-        text = f"{left} {node.op} {right}"
-        return f"({text})" if parent_prec > prec else text
-    raise AssertionError(node)
+    op, prec = _BINOP_TEXT[type(node)]
+    left = _render(node.left, prec, names)
+    right = _render(node.right, prec + 1, names)  # right-side ties get parens
+    text = f"{left} {op} {right}"
+    return f"({text})" if parent_prec > prec else text
 
 
 def _render_weights(rows) -> str:
@@ -1062,7 +1028,7 @@ def render_scenario(s: Scenario) -> str:
         elif isinstance(st, PointDecl):
             lines.append(f"point {st.name} = {render_expr(st.expr)}")
         elif isinstance(st, MapDecl):
-            bodies = ", ".join(render_expr(b) for b in st.bodies)
+            bodies = ", ".join(render_expr(b, st.params) for b in st.bodies)
             lines.append(
                 f"map {st.name}({', '.join(st.params)}) -> {st.out_dim} {{ {bodies} }}"
             )

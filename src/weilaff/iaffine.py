@@ -623,8 +623,8 @@ def check_idempotent_identities(
     * e(P) = P;
     * the Jacobian is a projection: De·De = De;
     * differentiating e∘e = e twice:  D2e[De·, De·] + De·D2e[·,·] = D2e[·,·];
-    * tangential kill: De(D2e[u, u]) = 0 for u = e(P+d) - e(P), d generic
-      second-order (and trivially for first-order d).
+    * tangential kill: De(D2e[u, u]) = 0 for u = e(P+d) - e(P);
+    * the 2-jet of e∘e = e: e(e(P+d)) = e(P+d), d generic second-order.
     """
     n = rp.ambient_dim
     base = _lift_base(base, n)
@@ -676,10 +676,13 @@ def check_idempotent_identities(
 
     report.run(f"{name_prefix}/hessian-splitting", "derivative", hessian_splitting)
 
-    def kill(cap: int, vector, label: str):
-        """De(D2e[v, v]) = 0 for v = vector(P, d), d a generic cap-``cap`` vector."""
-        ctx = make_truncated_context([("d", n, cap)])
-        v = vector(ctx.point(base), PointVec(ctx, tuple(ctx.gens())))
+    # the fixed point P and P + d, for d a generic cap-2 vector
+    ctx = make_truncated_context([("d", n, 2)])
+    P = ctx.point(base)
+    X = P + PointVec(ctx, tuple(ctx.gens()))
+
+    def tangential_kill():
+        v = rp.idempotent_eval(X) - rp.idempotent_eval(P)
         hv = []
         for p in range(n):
             pairs = []
@@ -694,14 +697,14 @@ def check_idempotent_identities(
         for i in range(n):
             acc = _lincomb(ctx, zip((Jac[i][p] for p in range(n)), hv))
             if not acc.is_zero():
-                return Witness.of(f"De(D2e[{label},{label}])[{i + 1}]", acc)
+                return Witness.of(f"De(D2e[u,u])[{i + 1}]", acc)
         return None
 
-    def tangent(B: PointVec, d: PointVec) -> PointVec:
-        return rp.idempotent_eval(B + d) - rp.idempotent_eval(B)
+    report.run(f"{name_prefix}/tangential-kill", "derivative", tangential_kill)
 
-    report.run(f"{name_prefix}/tangential-kill", "derivative", lambda: kill(2, tangent, "u"))
-    report.run(
-        f"{name_prefix}/first-order-kill", "derivative", lambda: kill(1, lambda B, d: d, "d")
-    )
+    def jet_idempotent():
+        eX = rp.idempotent_eval(X)
+        return difference_witness(rp.idempotent_eval(eX), eX, "e(e(P+d)) - e(P+d)")
+
+    report.run(f"{name_prefix}/jet-idempotent", "derivative", jet_idempotent)
     return report

@@ -306,11 +306,11 @@ def in_nilsquare(points: Sequence[PointVec]) -> bool:
 # -- generic models -----------------------------------------------------------
 
 
-def generic_Dk_vector(n: int, k: int, name: str = "d"):
+def generic_Dk_vector(n: int, k: int):
     """Freest vector satisfying D_k(n): one cap-k block of n generators."""
     if n < 1 or k < 1:
         raise WeilError("need n >= 1 and k >= 1")
-    ctx = make_truncated_context([(name, n, k)])
+    ctx = make_truncated_context([("d", n, k)])
     return ctx, PointVec(ctx, tuple(ctx.gens()))
 
 
@@ -324,7 +324,7 @@ def _lift_base(base, n: int) -> list:
     return base
 
 
-def generic_Ak_tuple(n: int, k: int, m: int, base=None, name: str = "u"):
+def generic_Ak_tuple(n: int, k: int, m: int, base=None):
     """Freest m-tuple that is a k-th order i-tuple in R^n.
 
     One shared cap-k block of n*(m-1) generators: point 1 is the (rational)
@@ -338,7 +338,7 @@ def generic_Ak_tuple(n: int, k: int, m: int, base=None, name: str = "u"):
         ctx = make_truncated_context([])
         base = _lift_base(base, n)
         return ctx, [ctx.point(base)]
-    ctx = make_truncated_context([(name, n * (m - 1), k)])
+    ctx = make_truncated_context([("u", n * (m - 1), k)])
     base = _lift_base(base, n)
     pts = [ctx.point(base)]
     for j in range(m - 1):
@@ -347,7 +347,7 @@ def generic_Ak_tuple(n: int, k: int, m: int, base=None, name: str = "u"):
     return ctx, pts
 
 
-def generic_nilsquare_tuple(n: int, m: int, base=None, degree_cap=None, name: str = "u"):
+def generic_nilsquare_tuple(n: int, m: int, base=None, degree_cap=None):
     """Freest m-tuple with all pairwise differences nil-square.
 
     This is the symmetric-only model at k = 1: generators u[j,a] (j = 2..m,
@@ -357,12 +357,10 @@ def generic_nilsquare_tuple(n: int, m: int, base=None, degree_cap=None, name: st
     products alive.  The degree cap defaults to m, deep enough to expose the
     order-(m-1) products the nil-square Remark is about.
     """
-    return generic_symmetric_Ak_tuple(n, 1, m, base, m if degree_cap is None else degree_cap, name)
+    return generic_symmetric_Ak_tuple(n, 1, m, base, m if degree_cap is None else degree_cap)
 
 
-def generic_symmetric_Ak_tuple(
-    n: int, k: int, m: int, base=None, degree_cap=None, name: str = "u"
-):
+def generic_symmetric_Ak_tuple(n: int, k: int, m: int, base=None, degree_cap=None):
     """Freest m-tuple killed by every *symmetric* (k+1)-linear form.
 
     For each multiset W of k+1 point labels (from 2..m) and each multiset M of
@@ -380,7 +378,7 @@ def generic_symmetric_Ak_tuple(
     if degree_cap is None:
         degree_cap = 2 * (k + 1)
     ngens = n * (m - 1)
-    names = [f"{name}{j + 2}_{a + 1}" for j in range(m - 1) for a in range(n)]
+    names = [f"u{j + 2}_{a + 1}" for j in range(m - 1) for a in range(n)]
 
     def gi(j: int, a: int) -> int:
         return j * n + a

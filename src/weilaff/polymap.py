@@ -447,36 +447,16 @@ def eval_map(f: AnyMap, P: PointVec) -> PointVec:
     return PointVec(ctx, coords)
 
 
-def compose(f: AnyMap, g: AnyMap):
-    """The composite f∘g.  Polynomial composition stays a :class:`PolyMap`."""
+def compose(f: PolyMap, g: PolyMap) -> PolyMap:
+    """The composite f∘g of two polynomial maps, by substitution."""
+    if not (isinstance(f, PolyMap) and isinstance(g, PolyMap)):
+        raise WeilError("compose needs two PolyMaps")
     if f.in_dim != g.out_dim:
         raise DimensionMismatchError(
             f"cannot compose: inner map produces dim {g.out_dim}, outer expects {f.in_dim}"
         )
-    if isinstance(f, PolyMap) and isinstance(g, PolyMap):
-        comps = [p.substitute(list(g.components)) for p in f.components]
-        return PolyMap(g.in_dim, f.out_dim, comps)
-    return _ComposedMap(f, g)
-
-
-class _ComposedMap:
-    """Opaque composite used when either factor is closed-form."""
-
-    __slots__ = ("outer", "inner", "in_dim", "out_dim")
-
-    def __init__(self, outer: AnyMap, inner: AnyMap):
-        self.outer = outer
-        self.inner = inner
-        self.in_dim = inner.in_dim
-        self.out_dim = outer.out_dim
-
-
-def _eval_any(f, P: PointVec) -> PointVec:
-    if isinstance(f, _ComposedMap):
-        return _eval_any(f.outer, _eval_any(f.inner, P))
-    if callable(f) and not isinstance(f, (PolyMap, ExprMap)):
-        return f(P)
-    return eval_map(f, P)
+    comps = [p.substitute(list(g.components)) for p in f.components]
+    return PolyMap(g.in_dim, f.out_dim, comps)
 
 
 class DerivativeTensor:
@@ -578,13 +558,13 @@ def point_jet(f, base: Sequence[Scalar], in_dim: int, order: int):
     where ``value`` is a tuple of Fractions and ``tensors[l]`` (l = 1..order)
     maps ``(i, sorted_multi_index)`` to the mixed partial as a Fraction.
 
-    ``f`` may be a PolyMap, an ExprMap, a composite, or any callable on
-    points.  Division/sqrt stay exact because the displacement is nilpotent.
+    ``f`` may be a PolyMap, an ExprMap, or any callable on points.
+    Division/sqrt stay exact because the displacement is nilpotent.
     """
     base = _lift_base(base, in_dim)
     ctx = make_truncated_context([("d", in_dim, order)])
     X = PointVec(ctx, tuple(ctx.scalar(b) + ctx.gen(a) for a, b in enumerate(base)))
-    Y = _eval_any(f, X)
+    Y = eval_map(f, X) if isinstance(f, (PolyMap, ExprMap)) else f(X)
     value = tuple(y.constant_term for y in Y)
     tensors: dict = {l: {} for l in range(1, order + 1)}
     for i, y in enumerate(Y):

@@ -20,7 +20,9 @@ from .weil import (
     make_truncated_context,
     sqrt,
 )
-from .polymap import PolyMap, ExprMap, eval_map, expr_to_poly
+from .polymap import (
+    Add, Const, Div, ExprMap, Mul, Neg, PolyMap, Power, Sqrt, Sub, eval_map, expr_to_poly,
+)
 from .neighborhoods import (
     MultilinearForm,
     find_A_k_violation,
@@ -83,8 +85,8 @@ def _build_context(decls) -> tuple:
 
 
 def _eval_node(node, env: ScenarioEnv, ctx: WeilContext) -> Value:
-    """Evaluate an expression AST to a WeilElement (scalar) or PointVec."""
-    if isinstance(node, dsl.ENum):
+    """Evaluate an expression tree to a WeilElement (scalar) or PointVec."""
+    if isinstance(node, Const):
         return ctx.scalar(node.value)
     if isinstance(node, dsl.ERef):
         if node.index is not None:
@@ -100,18 +102,16 @@ def _eval_node(node, env: ScenarioEnv, ctx: WeilContext) -> Value:
     if isinstance(node, dsl.EVec):
         items = [_scalar(_eval_node(item, env, ctx)) for item in node.items]
         return PointVec(ctx, tuple(items))
-    if isinstance(node, dsl.ENeg):
+    if isinstance(node, Neg):
         v = _eval_node(node.operand, env, ctx)
         if isinstance(v, PointVec):
             return PointVec(ctx, tuple(-c for c in v.coords))
         return -v
-    if isinstance(node, dsl.EPow):
+    if isinstance(node, Power):
         return _scalar(_eval_node(node.base, env, ctx)) ** node.exponent
+    if isinstance(node, Sqrt):
+        return sqrt(_scalar(_eval_node(node.operand, env, ctx)))
     if isinstance(node, dsl.ECall):
-        if node.name == "sqrt":
-            if len(node.args) != 1:
-                raise WeilError("sqrt takes one argument")
-            return sqrt(_scalar(_eval_node(node.args[0], env, ctx)))
         if node.name not in env.maps:
             raise WeilError(f"unknown map '{node.name}'")
         f = env.maps[node.name]
@@ -121,15 +121,15 @@ def _eval_node(node, env: ScenarioEnv, ctx: WeilContext) -> Value:
         else:
             P = PointVec(ctx, tuple(_scalar(a) for a in args))
         return eval_map(f, P)
-    if isinstance(node, dsl.EBin):
+    if isinstance(node, (Add, Sub, Mul, Div)):
         left = _eval_node(node.left, env, ctx)
         right = _eval_node(node.right, env, ctx)
         lv, rv = isinstance(left, PointVec), isinstance(right, PointVec)
-        if node.op in ("+", "-"):
+        if isinstance(node, (Add, Sub)):
             if lv != rv:
                 raise WeilError("cannot add a scalar and a vector")
-            return left + right if node.op == "+" else left - right
-        if node.op == "*":
+            return left + right if isinstance(node, Add) else left - right
+        if isinstance(node, Mul):
             if lv and rv:
                 raise WeilError("cannot multiply two vectors")
             if lv or rv:
@@ -171,11 +171,11 @@ def build_env(scenario: dsl.Scenario) -> ScenarioEnv:
         if isinstance(st, dsl.PointDecl):
             env.points[st.name] = _as_point(_eval_node(st.expr, env, ctx), ctx)
         elif isinstance(st, dsl.MapDecl):
-            polys = [expr_to_poly(e, len(st.params)) for e in st.exprs]
+            polys = [expr_to_poly(e, len(st.params)) for e in st.bodies]
             if all(p is not None for p in polys):
                 env.maps[st.name] = PolyMap(len(st.params), st.out_dim, polys)
             else:
-                env.maps[st.name] = ExprMap(len(st.params), st.out_dim, st.exprs)
+                env.maps[st.name] = ExprMap(len(st.params), st.out_dim, st.bodies)
         elif isinstance(st, dsl.FormDecl):
             env.forms[st.name] = MultilinearForm(st.arity, st.dim, dict(st.entries))
         elif isinstance(st, dsl.ConnectionDecl):

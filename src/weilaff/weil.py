@@ -207,14 +207,17 @@ class WeilContext:
         return hash(self._sig)
 
     def _ideal_key(self) -> tuple:
-        """The canonical integer bases of degrees 1..cap: equal exactly when
-        the relations span the same ideal modulo the block caps."""
+        """The canonical integer bases of degrees 1..cap, up to the first full
+        degree (every one above it is full too): equal exactly when the
+        relations span the same ideal modulo the block caps."""
         if self._ideal is None:
+            if self.relations:
+                self._degree_basis(self.degree_cap)
             self._ideal = tuple(
                 tuple(sorted((p, tuple(sorted(row.items())))
-                             for p, (_, row) in self._degree_basis(d).items()))
+                             for p, (_, row) in self._bases[d].items()))
                 if self.relations else ()
-                for d in range(1, self.degree_cap + 1)
+                for d in range(1, min(self.degree_cap, self._top + 1) + 1)
             )
         return self._ideal
 
@@ -318,17 +321,21 @@ class WeilContext:
         monomials the caps leave alive: relations reduced, common factor
         removed."""
         if self.relations and num:
-            # terms above the known top vanish: drop them before any basis
-            # lookup, so that none is built for their degree
+            # build the bases up to the highest degree first, since that may
+            # lower the top; then the terms above the top vanish, and every
+            # degree left has its basis
             dshift = self._dshift
+            largest = max(num)
+            self._degree_basis(largest >> dshift)
             limit = (self._top + 1) << dshift
-            if max(num) >= limit:
+            if largest >= limit:
                 num = {m: c for m, c in num.items() if m < limit}
+            bases = self._bases
             hits = []
             for m, c in num.items():
                 d = m >> dshift
                 if d:
-                    hit = self._degree_basis(d).get(m)
+                    hit = bases[d].get(m)
                     if hit:
                         hits.append((c, hit))
             if hits:
@@ -358,14 +365,15 @@ class WeilContext:
         reduced basis is the identity ``{m: (1, {m: 1})}``, built with no
         elimination.  A full degree, found either way, lowers ``_top`` below
         it.  Degrees are built from the bottom up, since the test reads the
-        degree below."""
-        basis = self._bases.get(degree)
-        if basis is None:
+        degree below, and the first full degree is the last one built: above
+        ``_top + 1`` nothing is built, and None is returned."""
+        if degree not in self._bases:
             for d in range(1, degree + 1):
+                if d > self._top + 1:
+                    break
                 if d not in self._bases:
                     self._bases[d] = self._build_basis(d)
-            basis = self._bases[degree]
-        return basis
+        return self._bases.get(degree)
 
     def _alive(self, degree: int) -> list:
         """The packed monomials of total degree ``degree`` that the caps

@@ -5,7 +5,6 @@ scenario, and every rejected file must carry a 1-based position at the point
 of failure together with an expected/found pair.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -151,7 +150,7 @@ def test_map_single_output():
     decl = s.statements[0]
     assert decl.out_dim == 1
     assert len(decl.bodies) == 1
-    assert render_expr(decl.bodies[0]) == "x^2 + 3/2 * y"
+    assert render_expr(decl.bodies[0], decl.params) == "x^2 + 3/2 * y"
 
 
 def test_declarations_carry_polymap_objects():
@@ -161,11 +160,9 @@ def test_declarations_carry_polymap_objects():
     assert dict(decls["gamma"].entries)[(1, 0, 1)] == Poly.constant(2, 3)
     f = decls["f"]
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-    assert [expr_to_poly(e, 2) for e in f.exprs] == [x + y ** 2, y + x * Fraction(3, 2)]
-    # the lowering rides along outside equality
-    assert replace(f, exprs=()) == f
+    assert [expr_to_poly(e, 2) for e in f.bodies] == [x + y ** 2, y + x * Fraction(3, 2)]
     sq = parse_scenario("map h(x) -> 1 { sqrt(x) / 2 }").statements[0]
-    assert sq.exprs == (Div(Sqrt(Var(0)), Const(Fraction(2))),)
+    assert sq.bodies == (Div(Sqrt(Var(0)), Const(Fraction(2))),)
 
 
 def test_sqrt_allowed_in_map_bodies_only():
@@ -274,6 +271,19 @@ REJECTS = [
     ("block d vars 3\u0663 cap 1", 1, 15, "a token", "'\u0663'"),
     # a literal too long for int() is reported, not raised as ValueError
     ("point P = (" + "9" * 4301 + ",)", 1, 12, "an integer of at most 4300 digits", "4301 digits"),
+    # a body with two faults reports the first: names resolve as they are read
+    (
+        "quotient q vars 2 degcap 2 relations { q[1]*u + ) }",
+        1, 45, "an indexed generator like q[1]", "u",
+    ),
+    (
+        "connection c dim 2 { GAMMA[1][1,1] = y * ( }",
+        1, 38, "a polynomial in the declared variables", "y",
+    ),
+    (
+        "block g vars 2 cap 1\nquotient q vars 2 degcap 2 relations { (g[1], q[1]) }",
+        2, 41, "this declaration's own generators", "g",
+    ),
 ]
 
 

@@ -613,7 +613,7 @@ def test_idempotent_identities_flag_moving_point():
 
 def test_idempotent_identities_flag_tangential_curvature():
     # e(x, y) = (x, y + x^2) fixes the origin with De = I but bends the
-    # tangent: D2e[u, u] = (0, 2 d1^2) survives De, while first-order d dies
+    # tangent: D2e[u, u] = (0, 2 d1^2) survives De, and e(e(P+d)) = (d1, d2 + 2 d1^2)
     x, y = xy_polys()
     e = PolyMap(2, 2, [x, y + x * x])
     rep = check_idempotent_identities(RetractPair.from_idempotent(e), (0, 0))
@@ -622,4 +622,7 @@ def test_idempotent_identities_flag_tangential_curvature():
     assert by_name["tangential-kill"].witness == {
         "location": "De(D2e[u,u])[2]", "monomial": "d1^2", "coefficient": "2",
     }
-    assert by_name["first-order-kill"].status == "pass"
+    assert by_name["jet-idempotent"].status == "fail"
+    assert by_name["jet-idempotent"].witness == {
+        "location": "e(e(P+d)) - e(P+d)[2]", "monomial": "d1^2", "coefficient": "1",
+    }

@@ -91,6 +91,15 @@ def test_compose_swap_involution():
     assert compose(swap, swap) == PolyMap.identity(2)
 
 
+def test_compose_rejects_closed_forms():
+    # eval_map could not apply such a composite, so compose makes none
+    root = ExprMap(1, 1, [Sqrt(Var(0))])
+    with pytest.raises(WeilError):
+        compose(root, square())
+    with pytest.raises(WeilError):
+        compose(square(), root)
+
+
 # -- derivative tensors ------------------------------------------------------------------
 
 

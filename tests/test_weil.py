@@ -19,6 +19,7 @@ from weilaff import (
     WeilError,
     generic_nilsquare_tuple,
     generic_symmetric_Ak_tuple,
+    in_A_k,
     invert,
     make_quotient_context,
     make_truncated_context,
@@ -791,6 +792,30 @@ def test_nilsquare_3_4_dies_below_its_cap():
     kept = {m for mono in _of_degree(ctx.ngens, 3) for m in ctx.element({mono: 1}).num}
     assert len(kept) == 1
     assert all(ctx.element({mono: 1}).is_zero() for mono in _of_degree(ctx.ngens, 4))
+
+
+def test_bases_stop_at_the_first_full_degree():
+    ctx, pts = generic_nilsquare_tuple(4, 6)
+    assert in_A_k(pts, 5)
+    # degree 5 is full, so degree 6 (177,100 monomials) is never built
+    assert ctx.vanishes_from(5) and not ctx.vanishes_from(4)
+    assert max(ctx._bases) == 5 and 6 not in ctx._bases
+
+
+def test_normal_form_of_a_product_straddling_the_top():
+    # degree 3 is full, so the top is 2; a fresh context learns that only
+    # while it reduces the product, whose terms have degrees 2, 3 and 4
+    rels = [{m: 1} for m in _of_degree(2, 3)]
+    ctx = make_quotient_context(["s", "t"], rels, 5)
+    a = ctx.element({(1, 0): 1, (2, 0): 2})
+    b = ctx.element({(0, 1): 3, (0, 2): -1})
+    assert set(ctx._bases) <= {1, 2}
+    raw = dense_mul({(1, 0): 1, (2, 0): 2}, {(0, 1): 3, (0, 2): -1}, 5)
+    nf = (a * b).coeffs
+    member = ideal_membership(rels, 2, 5)
+    assert member(dense_add(raw, dense_scale(nf, -1)))
+    assert nf and all(sum(m) <= 2 for m in nf) and not member(nf)
+    assert ctx.vanishes_from(3) and not ctx.vanishes_from(2)
 
 
 @settings(max_examples=60, derandomize=True)
