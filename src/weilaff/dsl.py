@@ -371,10 +371,19 @@ class _Parser:
             self.end_statement()
             self.skip_newlines()
         while self.tok.type != "EOF":
-            stmts.append(self.statement())
+            stmts.append(self.guarded(self.statement))
             self.end_statement()
             self.skip_newlines()
         return Scenario(version, tuple(stmts))
+
+    def guarded(self, parse):
+        """``parse()``, with input nested too deeply for the interpreter's
+        stack reported at the first token it read."""
+        first = self.tok
+        try:
+            return parse()
+        except RecursionError:
+            self.fail("input nested less deeply", first)
 
     def statement(self):
         t = self.tok
@@ -934,7 +943,7 @@ def parse_expression(text: str) -> object:
     # no symbol table: name resolution happens at evaluation time
     p.lookup = lambda tok, kinds: _Sym("block", 10 ** 9, 10 ** 9)  # type: ignore[assignment]
     p.calls = True
-    node = p.expr()
+    node = p.guarded(p.expr)
     if p.tok.type != "EOF":
         p.fail("end of expression")
     return node
@@ -952,7 +961,9 @@ def render_expr(node, names=()) -> str:
 
 def _render(node, parent_prec: int, names) -> str:
     if isinstance(node, Const):
-        return str(node.value)
+        # a fraction reads as a Div and a negative literal as a Neg
+        prec = 20 if node.value.denominator != 1 else 30 if node.value < 0 else 50
+        return f"({node.value})" if parent_prec > prec else str(node.value)
     if isinstance(node, Var):
         return names[node.index]
     if isinstance(node, ERef):

@@ -32,6 +32,7 @@ from .weil import (
     WeilElement,
     WeilError,
     _as_fraction,
+    _contract,
     _lincomb,
     make_truncated_context,
     mat_inverse,
@@ -145,14 +146,17 @@ class BilinearMap:
     u[a] v[b] (+ u[b] v[a] for a < b) in component i.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_rows")
 
     def __init__(self, dim: int, entries: dict):
         self.dim = dim
         self.entries = {}
+        # one contraction row per component, over both orders of each pair
+        self._rows = [{} for _ in range(dim)]
         for (i, (a, b)), e in entries.items():
-            key = (i, (a, b) if a <= b else (b, a))
-            self.entries[key] = e
+            a, b = min(a, b), max(a, b)
+            self.entries[(i, (a, b))] = e
+            self._rows[i][(a, b)] = self._rows[i][(b, a)] = e
 
     def entry(self, i: int, a: int, b: int):
         return self.entries.get((i, (a, b) if a <= b else (b, a)))
@@ -161,35 +165,14 @@ class BilinearMap:
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatchError("bilinear map applied to wrong dimension")
         ctx = u.context
-        prods = {}
-        for a in range(self.dim):
-            if u[a].is_zero():
-                continue
-            for b in range(self.dim):
-                p = u[a] * v[b]
-                if not p.is_zero():
-                    prods[(a, b)] = p
-        coords = []
-        for i in range(self.dim):
-            pairs = []
-            for (a, b), p in prods.items():
-                e = self.entry(i, a, b)
-                if e is None or e.is_zero():
-                    continue
-                # a constant entry (a connection at a rational point) only scales
-                if e._num.keys() <= {0}:
-                    pairs.append((e.constant_term, p))
-                else:
-                    pairs.append((1, e * p))
-            coords.append(_lincomb(ctx, pairs))
-        return PointVec(ctx, tuple(coords))
+        return PointVec(ctx, tuple(_contract(ctx, self._rows, (u.coords, v.coords))))
 
 
 class Connection:
     """Christoffel data: for each component i a symmetric family of
     polynomial coefficients gamma[i][a,b] in the base coordinates."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_map")
 
     def __init__(self, dim: int, entries=None):
         self.dim = dim
@@ -205,6 +188,7 @@ class Connection:
             existing = self.entries.get(key)
             self.entries[key] = poly if existing is None else existing + poly
         self.entries = {k: p for k, p in self.entries.items() if not p.is_zero()}
+        self._map = PolyMap(dim, len(self.entries), self.entries.values())
 
     @classmethod
     def zero(cls, dim: int) -> "Connection":
@@ -218,11 +202,8 @@ class Connection:
         """Evaluate the Christoffel polynomials at a point of any context."""
         if P.dim != self.dim:
             raise DimensionMismatchError("connection evaluated at wrong dimension")
-        cache: dict = {}
-        out = {}
-        for (i, a, b), poly in self.entries.items():
-            out[(i, (a, b))] = poly.eval_weil(P.coords, cache)
-        return BilinearMap(self.dim, out)
+        keys = [(i, (a, b)) for i, a, b in self.entries]
+        return BilinearMap(self.dim, dict(zip(keys, eval_map(self._map, P))))
 
     def __eq__(self, other):
         return (
@@ -293,17 +274,16 @@ def pullback_connection(c: Connection, iota: PolyMap, P: PointVec) -> BilinearMa
     Jinv = mat_inverse(Jmat)
     H = derivative_tensor(iota, P, 2)
     G = c.at(eval_map(iota, P))
+    jinv_rows = [{(j,): Jinv[i][j] for j in range(n)} for i in range(n)]
     out = {}
     for a in range(n):
         Ja = PointVec(ctx, tuple(Jmat[i][a] for i in range(n)))
         for b in range(a, n):
             Jb = PointVec(ctx, tuple(Jmat[i][b] for i in range(n)))
             target = G.apply(Ja, Jb)
-            target = PointVec(
-                ctx, tuple(t - H.entry(i, (a, b)) for i, t in enumerate(target))
-            )
-            for i in range(n):
-                out[(i, (a, b))] = _lincomb(ctx, ((1, Jinv[i][j] * target[j]) for j in range(n)))
+            target = tuple(t - H.entry(i, (a, b)) for i, t in enumerate(target))
+            for i, x in enumerate(_contract(ctx, jinv_rows, (target,))):
+                out[(i, (a, b))] = x
     return BilinearMap(n, out)
 
 
@@ -681,21 +661,13 @@ def check_idempotent_identities(
     P = ctx.point(base)
     X = P + PointVec(ctx, tuple(ctx.gens()))
 
+    hess_rows = [{(a, b): hess(p, a, b) for a in range(n) for b in range(n)} for p in range(n)]
+    jac_rows = [{(p,): Jac[i][p] for p in range(n)} for i in range(n)]
+
     def tangential_kill():
-        v = rp.idempotent_eval(X) - rp.idempotent_eval(P)
-        hv = []
-        for p in range(n):
-            pairs = []
-            for a in range(n):
-                if v[a].is_zero():
-                    continue
-                for b in range(n):
-                    q = hess(p, a, b)
-                    if q:
-                        pairs.append((q, v[a] * v[b]))
-            hv.append(_lincomb(ctx, pairs))
-        for i in range(n):
-            acc = _lincomb(ctx, zip((Jac[i][p] for p in range(n)), hv))
+        v = (rp.idempotent_eval(X) - rp.idempotent_eval(P)).coords
+        hv = _contract(ctx, hess_rows, (v, v))
+        for i, acc in enumerate(_contract(ctx, jac_rows, (hv,))):
             if not acc.is_zero():
                 return Witness.of(f"De(D2e[u,u])[{i + 1}]", acc)
         return None

@@ -31,7 +31,7 @@ from .weil import (
     WeilElement,
     WeilError,
     _as_fraction,
-    _lincomb,
+    _contract,
     make_quotient_context,
     make_truncated_context,
 )
@@ -145,15 +145,7 @@ def eval_form(form: MultilinearForm, vectors: Sequence[PointVec]) -> WeilElement
     for v in vectors:
         if v.dim != form.dim:
             raise WeilError(f"form on dim {form.dim} applied to a dim-{v.dim} vector")
-    pairs = []
-    for idx, c in form.coeffs.items():
-        term = None
-        for v, i in zip(vectors, idx):
-            term = v[i] if term is None else term * v[i]
-            if term.is_zero():
-                break
-        pairs.append((c, term))
-    return _lincomb(vectors[0].context, pairs)
+    return _contract(vectors[0].context, [form.coeffs], [v.coords for v in vectors])[0]
 
 
 # -- product searches --------------------------------------------------------

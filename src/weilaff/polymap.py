@@ -8,6 +8,14 @@ Two map flavours share one evaluation interface:
   also divide by units and take square roots, evaluated directly in the
   algebra (division and roots stay exact on nilpotent arguments).
 
+A :class:`Poly` adds, multiplies, differentiates and substitutes, but does
+not evaluate itself: a :class:`PolyMap` keeps each component as a row of
+index tuples with one ``(variable, exponent)`` slot per variable (x0²·x2 is
+((0, 2), (2, 1))), and :func:`eval_map` evaluates them all in one
+``weil._contract``, which builds each product of powers once, as its prefix
+times one power.  Each power is computed once per call, by repeated
+squaring, so a term of degree e costs O(log e) products.
+
 Derivatives of an :class:`ExprMap` at a rational point are still available
 through :func:`point_jet`, which reads Taylor coefficients off one exact
 evaluation at ``P + d`` in a fresh nilpotent block.
@@ -15,6 +23,7 @@ evaluation at ``P + d`` in a fresh nilpotent block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +37,7 @@ from .weil import (
     WeilElement,
     WeilError,
     _as_fraction,
-    _lincomb,
+    _contract,
     invert,
     make_truncated_context,
 )
@@ -203,32 +212,6 @@ class Poly:
             acc = acc + term
         return acc
 
-    def eval_weil(self, coords: Sequence[WeilElement], cache: Optional[dict] = None) -> WeilElement:
-        """Evaluate at algebra elements; ``cache`` memoizes coordinate powers."""
-        if len(coords) != self.nvars:
-            raise DimensionMismatchError("wrong number of coordinates")
-        if not coords:
-            raise WeilError("evaluation needs at least one coordinate for context")
-        ctx = coords[0].context
-        if cache is None:
-            cache = {}
-        pairs = []
-        for m, c in self.terms.items():
-            term = None
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                key = (i, e)
-                pw = cache.get(key)
-                if pw is None:
-                    pw = coords[i] ** e
-                    cache[key] = pw
-                term = pw if term is None else term * pw
-                if term.is_zero():
-                    break
-            pairs.append((c, ctx.one() if term is None else term))
-        return _lincomb(ctx, pairs)
-
     def format(self, var_names: Sequence[str]) -> str:
         if not self.terms:
             return "0"
@@ -261,7 +244,7 @@ class Poly:
 class PolyMap:
     """A polynomial map R^n -> R^m given by one :class:`Poly` per component."""
 
-    __slots__ = ("in_dim", "out_dim", "components")
+    __slots__ = ("in_dim", "out_dim", "components", "_rows", "_slots")
 
     def __init__(self, in_dim: int, out_dim: int, components: Sequence[Poly]):
         components = tuple(components)
@@ -273,6 +256,13 @@ class PolyMap:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.components = components
+        # one contraction row per component, a slot per variable and its
+        # exponent: the term x0²·x2 is the tuple ((0, 2), (2, 1))
+        self._rows = [
+            {tuple((i, e) for i, e in enumerate(m) if e): c for m, c in p.terms.items()}
+            for p in components
+        ]
+        self._slots = {s for row in self._rows for idx in row for s in idx}
 
     @classmethod
     def identity(cls, n: int) -> "PolyMap":
@@ -438,8 +428,10 @@ def eval_map(f: AnyMap, P: PointVec) -> PointVec:
         )
     ctx = P.context
     if isinstance(f, PolyMap):
-        cache: dict = {}
-        coords = tuple(p.eval_weil(P.coords, cache) for p in f.components)
+        # every power a term reads, once each, by repeated squaring; a term
+        # has at most one slot per variable
+        powers = {(i, e): P.coords[i] ** e for i, e in f._slots}
+        coords = tuple(_contract(ctx, f._rows, [powers] * f.in_dim))
     elif isinstance(f, ExprMap):
         coords = tuple(eval_expr(e, P.coords) for e in f.components)
     else:
@@ -466,7 +458,7 @@ class DerivativeTensor:
     the (unordered) coordinate multi-index ``idx``, evaluated at the base.
     """
 
-    __slots__ = ("order", "base", "in_dim", "out_dim", "_entries")
+    __slots__ = ("order", "base", "in_dim", "out_dim", "_entries", "_rows")
 
     def __init__(self, order: int, base: PointVec, in_dim: int, out_dim: int, entries: dict):
         self.order = order
@@ -474,6 +466,12 @@ class DerivativeTensor:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self._entries = entries
+        # one contraction row per output over the ordered grids, zero entries left out
+        grids = list(itertools.product(range(in_dim), repeat=order))
+        self._rows = [
+            {g: x for g in grids if (x := entries[i, tuple(sorted(g))])._num}
+            for i in range(out_dim)
+        ]
 
     def entry(self, i: int, idx: Sequence[int]) -> WeilElement:
         return self._entries[(i, tuple(sorted(idx)))]
@@ -486,20 +484,7 @@ class DerivativeTensor:
             if v.dim != self.in_dim:
                 raise DimensionMismatchError("vector dimension mismatch in contraction")
         ctx = vectors[0].context if vectors else self.base.context
-        grid_products = {}
-        for grid in itertools.product(range(self.in_dim), repeat=self.order):
-            prod = None
-            for v, a in zip(vectors, grid):
-                prod = v[a] if prod is None else prod * v[a]
-                if prod.is_zero():
-                    break
-            if prod is not None and not prod.is_zero():
-                grid_products[grid] = prod
-        coords = tuple(
-            _lincomb(ctx, ((1, self.entry(i, grid) * prod) for grid, prod in grid_products.items()))
-            for i in range(self.out_dim)
-        )
-        return PointVec(ctx, coords)
+        return PointVec(ctx, tuple(_contract(ctx, self._rows, [v.coords for v in vectors])))
 
     def as_matrix(self) -> list:
         """Order-1 tensors as a Jacobian matrix (rows: outputs, cols: inputs)."""
@@ -518,14 +503,10 @@ def derivative_tensor(f: PolyMap, Q: PointVec, order: int) -> DerivativeTensor:
         raise DimensionMismatchError("base point dimension mismatch")
     if order < 1:
         raise WeilError("derivative order must be at least 1")
-    cache: dict = {}
-    entries = {}
-    for i, p in enumerate(f.components):
-        for idx in itertools.combinations_with_replacement(range(f.in_dim), order):
-            d = p
-            for a in idx:
-                d = d.diff(a)
-            entries[(i, idx)] = d.eval_weil(Q.coords, cache)
+    keys = [(i, idx) for i in range(f.out_dim)
+            for idx in itertools.combinations_with_replacement(range(f.in_dim), order)]
+    polys = [functools.reduce(Poly.diff, idx, f.components[i]) for i, idx in keys]
+    entries = dict(zip(keys, eval_map(PolyMap(f.in_dim, len(polys), polys), Q)))
     return DerivativeTensor(order, Q, f.in_dim, f.out_dim, entries)
 
 

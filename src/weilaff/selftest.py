@@ -54,7 +54,7 @@ from .report import CheckReport
 from .weil import (
     PointVec,
     SingularMatrixError,
-    _lincomb,
+    _contract,
     _rational_matrix_inverse,
     make_truncated_context,
 )
@@ -355,10 +355,8 @@ def _sym_basis_forms(dim: int):
 
 
 def _apply_linear(J, vec: PointVec) -> PointVec:
-    ctx = vec.context
-    n = vec.dim
-    coords = tuple(_lincomb(ctx, ((J[i][a], vec[a]) for a in range(n))) for i in range(n))
-    return PointVec(ctx, coords)
+    rows = [{(a,): c for a, c in enumerate(row)} for row in J]
+    return PointVec(vec.context, tuple(_contract(vec.context, rows, (vec.coords,))))
 
 
 def _quad_vec(dim: int, comp: int, a: int, b: int, xs: PointVec, ys: PointVec) -> PointVec:
@@ -400,22 +398,16 @@ def crit_symmetric_obstruction(report: CheckReport, grid: str, seed: int) -> Non
         rounds = 8 if grid == "full" else 4
         for _ in range(rounds):
             Jm = [[_frac(rng) for _ in range(2)] for _ in range(2)]
-            H = {}
-            for comp in range(2):
+            # one symmetric quadratic form per component
+            h_rows = [{}, {}]
+            for row in h_rows:
                 for a, b in quad_monos:
-                    c = _frac(rng)
-                    H[(comp, a, b)] = c
-                    H[(comp, b, a)] = c
+                    row[(a, b)] = row[(b, a)] = _frac(rng)
             Ju = _apply_linear(Jm, u)
             Jv = _apply_linear(Jm, v)
 
             def h_pair(xs, ys):
-                coords = tuple(
-                    _lincomb(ctx, ((H[(comp, a, b)], xs[a] * ys[b])
-                                   for a in range(2) for b in range(2) if H[(comp, a, b)]))
-                    for comp in range(2)
-                )
-                return PointVec(ctx, coords)
+                return PointVec(ctx, tuple(_contract(ctx, h_rows, (xs.coords, ys.coords))))
 
             Hvv = h_pair(v, v)
             Huv = h_pair(u, v)

@@ -514,7 +514,8 @@ def _canonical(ctx: WeilContext, num: dict, den: int) -> "WeilElement":
 
 def _lincomb(ctx: WeilContext, pairs: Iterable) -> "WeilElement":
     """The sum of ``q * x`` over ``(scalar, element)`` pairs of ``ctx``: one
-    common denominator, one pass of integer adds, lowest terms once."""
+    common denominator, one pass of integer adds, lowest terms once.  A
+    scalar is a rational or a constant element."""
     scaled = []
     den = 1
     for q, x in pairs:
@@ -523,6 +524,8 @@ def _lincomb(ctx: WeilContext, pairs: Iterable) -> "WeilElement":
         if q and x._num:
             if type(q) is int:
                 p, d = q, x.den
+            elif type(q) is WeilElement:
+                p, d = q._num.get(0, 0), q.den * x.den
             else:
                 q = _as_fraction(q)
                 p, d = q.numerator, q.denominator * x.den
@@ -534,6 +537,44 @@ def _lincomb(ctx: WeilContext, pairs: Iterable) -> "WeilElement":
         for m, c in num.items():
             out[m] = out.get(m, 0) + c * f
     return _canonical(ctx, {m: c for m, c in out.items() if c}, den)
+
+
+def _contract(ctx: WeilContext, rows: Sequence[Mapping], vectors: Sequence[Sequence]) -> list:
+    """One element of ``ctx`` per row: the sum over the row's entries
+    ``idx: c`` of ``c`` times the product of ``vectors[j][idx[j]]`` over the
+    slots ``j`` of the index tuple ``idx``.
+
+    A coefficient is a rational or an element; a constant element only
+    scales.  Each product is built once per call, as its prefix times one
+    coordinate, so products share their prefixes' work (the multivariate
+    Horner scheme of Carnicer and Gasca, Math. Comp. 1990).  ``()`` is one,
+    a vanished prefix ends every product that extends it, and each row is
+    summed by one :func:`_lincomb`.
+    """
+    # child[node, i] is the node one slot deeper with its product, node 0
+    # being (): walking it from the root finds each product already built
+    one, child, out = ctx.one(), {}, []
+    for row in rows:
+        pairs = []
+        for idx, c in row.items():
+            if not c:  # a zero rational builds no product (an element is always true)
+                continue
+            node, x = 0, one
+            for j, i in enumerate(idx):
+                if not x._num:
+                    break
+                nx = child.get((node, i))
+                if nx is None:
+                    y = vectors[j][i]
+                    nx = child[node, i] = len(child) + 1, y if j == 0 else x * y
+                node, x = nx
+            if x._num:
+                # a constant element only scales, as a scalar of _lincomb
+                if type(c) is WeilElement and not c._num.keys() <= {0}:
+                    c, x = 1, c * x
+                pairs.append((c, x))
+        out.append(_lincomb(ctx, pairs))
+    return out
 
 
 def _clean_relations(relations, ngens: int) -> tuple:
@@ -821,6 +862,9 @@ class WeilElement:
         )
 
     def __hash__(self):
+        # a constant element equals its scalar, so it hashes as one
+        if self._num.keys() <= {0}:
+            return hash(self.constant_term)
         return hash((self.context, frozenset(self._num.items()), self.den))
 
     def __str__(self):

@@ -206,6 +206,23 @@ def brute_in_DN_k(
     return True
 
 
+def contract(zero, one, rows: Sequence[Mapping], vectors: Sequence[Sequence]) -> list:
+    """For each row, the sum over its entries ``idx: c`` of ``c`` times the
+    product of ``vectors[j][idx[j]]`` over the slots ``j``, built left to
+    right from ``one`` with no memo and no pruning.  Works on any objects
+    with ``+`` and ``*``, such as algebra elements."""
+    out = []
+    for row in rows:
+        acc = zero
+        for idx, c in row.items():
+            term = one
+            for j, i in enumerate(idx):
+                term = term * vectors[j][i]
+            acc = acc + c * term
+        out.append(acc)
+    return out
+
+
 def as_dense(element) -> Dense:
     """Coefficient dict of a WeilElement (plain data, no behavior)."""
     return dict(element.coeffs)

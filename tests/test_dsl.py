@@ -182,10 +182,24 @@ def test_parse_expression_round_trip():
         "f(Q)",
         "(x,)",
         "P + (1, 2)",
+        # a fraction literal binds as a quotient and a negative one as a negation
+        "x / (3/2)",
+        "(3/2)^2",
+        "(-2)^2",
+        "-(3/2)^2",
+        "x * (-3/2)",
+        "x - -2 + -1/2",
     ]:
         node = parse_expression(text)
         assert render_expr(node) == text
         assert parse_expression(render_expr(node)) == node
+
+
+def test_literals_round_trip_through_scenarios():
+    text = "block e vars 1 cap 2\npoint P = (e[1] / (3/2), (3/2)^2, (-2)^2)\n"
+    s = parse_scenario(text)
+    assert render_scenario(s) == text
+    assert parse_scenario(render_scenario(s)) == s
 
 
 def test_expression_errors_carry_positions():

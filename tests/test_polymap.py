@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weilaff import (
     Add,
@@ -28,7 +29,7 @@ from weilaff import (
     taylor_eval,
 )
 
-from _oracles import as_dense, dense_mul, dense_pow
+from _oracles import as_dense, dense_add, dense_mul, dense_pow, dense_scale
 
 
 def square() -> PolyMap:
@@ -40,6 +41,32 @@ def test_eval_square_on_cap_one():
     P = PointVec(c, (c.scalar(3) + c.gen(0),))
     out = eval_map(square(), P)
     assert out[0] == c.scalar(9) + c.gen(0) * 6
+
+
+_Q = st.fractions(min_value=Fraction(-5, 2), max_value=Fraction(5, 2), max_denominator=6)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.data())
+def test_eval_map_is_the_sum_of_coefficients_times_powers(data):
+    """Against dense arithmetic: component j at P is the sum of c * prod P[i]**e."""
+    n, out_dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    c = make_truncated_context([("e", 2, data.draw(st.integers(1, 3)))])
+    ngens, cap = c.ngens, c.max_degree
+    gens = [(0,) * ngens] + [tuple(int(i == g) for i in range(ngens)) for g in range(ngens)]
+    coord = st.dictionaries(st.sampled_from(gens), _Q, max_size=3).map(c.element)
+    P = PointVec(c, tuple(data.draw(coord) for _ in range(n)))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    comps = [Poly(n, data.draw(st.dictionaries(exps, _Q, max_size=5))) for _ in range(out_dim)]
+    got = eval_map(PolyMap(n, out_dim, comps), P)
+    for p, y in zip(comps, got):
+        want = {}
+        for m, q in p.terms.items():
+            term = {(0,) * ngens: Fraction(1)}
+            for x, e in zip(P, m):
+                term = dense_mul(term, dense_pow(as_dense(x), e, cap, ngens), cap)
+            want = dense_add(want, dense_scale(term, q))
+        assert as_dense(y) == want
 
 
 def test_eval_cube_against_dense_oracle():

@@ -5,12 +5,15 @@ one of each template), broken by a one-token bracket mutation, by one
 inserted non-ASCII digit or letter, or by bytes that are no UTF-8 text.
 Whatever the parser makes of it, the CLI must answer with an exit code
 (0, 1 or 2) and never raise or print a traceback; a file that is no UTF-8
-text exits 2 at the position of its first bad byte.
+text exits 2 at the position of its first bad byte, and a point nested
+deeper than the interpreter's stack exits 2 at its statement.
 """
 
 import pathlib
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -75,3 +78,49 @@ def test_check_answers_every_broken_file(source, tmp_path, capsys):
             assert code == 2, data
             assert out.out == ""
             assert out.err == f"{path}:{error}\n"
+
+
+DEEP = {
+    "parentheses": "(" * 3000 + "d[1]" + ")" * 3000,
+    "minus-signs": "-" * 3000 + "d[1]",
+    "long-sum": " + ".join(["d[1]"] * 3000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_deep_input_is_a_positional_error(shape, tmp_path, capsys):
+    """Input nested past the interpreter's stack exits 2 at its statement."""
+    path = tmp_path / f"{shape}.weil"
+    path.write_text(f"version 1\nblock d vars 1 cap 2\npoint P = ({DEEP[shape]},)\n")
+    for argv in (["check", str(path)], ["eval", str(path), "--expr", "P"]):
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith(f"{path}:3:1: ") and "Traceback" not in out.err
+    # the same expression in eval --expr, against a file that parses: a sum
+    # parses without nesting and fails in evaluation, without a position
+    code = main(["eval", str(ROOT / "scenarios" / "quickstart.weil"), f"--expr={DEEP[shape]}"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and "Traceback" not in out.err
+    # a long sum parses, so only the nested shapes name a position here
+    assert shape == "long-sum" or out.err.startswith("1:1: ")
+
+
+def test_high_power_evaluates_in_small_time_and_memory(tmp_path, capsys):
+    """A term of degree e costs O(log e) products: x^100000 is squared up to,
+    not multiplied out one factor at a time."""
+    path = tmp_path / "power.weil"
+    path.write_text(
+        "version 1\nblock d vars 1 cap 2\npoint O = (1, 2)\npoint P = O + (d[1], d[1])\n"
+        "map f(x, y) -> 1 { x^100000 * y^3 - 2 * x^99999 * y }\n"
+        "check i-morphism f (O; P) k=2\n"
+    )
+    tracemalloc.start()
+    start = time.perf_counter()
+    code = main(["check", str(path)])
+    seconds = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0, capsys.readouterr()
+    assert seconds < 1.0 and peak < 8_000_000, (seconds, peak)

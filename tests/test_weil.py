@@ -29,11 +29,12 @@ from weilaff import (
     sqrt,
 )
 from weilaff import weil
-from weilaff.weil import WeilElement, _lincomb
+from weilaff.weil import WeilElement, _contract, _lincomb
 
 from _oracles import (
     as_dense,
     cap_relations,
+    contract,
     dense_add,
     dense_mul,
     dense_pow,
@@ -1001,6 +1002,79 @@ def test_lincomb_rejects_another_context():
     a, b = make_truncated_context([("e", 2, 2)]), make_truncated_context([("e", 2, 1)])
     with pytest.raises(ContextMismatchError):
         _lincomb(a, [(1, a.gen(0)), (2, b.gen(0))])
+
+
+def _contraction(data, case):
+    """Rows and slot vectors for ``_contract`` over the kernel case's context."""
+    ctx = KERNEL_CASES[case][0]
+    dim = data.draw(st.integers(1, 3))
+    coords = st.one_of(
+        _case_elements(case),
+        _case_elements(case).map(WeilElement.nilpotent_part),  # products die at the cap
+        st.just(ctx.zero()),
+    )
+    # a small pool, so that several slots often read one vector
+    pool = data.draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=2))
+    vectors = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    # short index ranges, so that rows share prefixes; () included
+    index = st.lists(st.integers(0, dim - 1), max_size=len(vectors)).map(tuple)
+    coeff = st.one_of(_scalars(), _COEFF.map(ctx.scalar), _case_elements(case))
+    rows = data.draw(st.lists(st.dictionaries(index, coeff, max_size=6), max_size=3))
+    return ctx, rows, vectors
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.data())
+def test_contract_matches_the_naive_contraction(data):
+    case = data.draw(CASE)
+    ctx, rows, vectors = _contraction(data, case)
+    got = _contract(ctx, rows, vectors)
+    assert got == contract(ctx.zero(), ctx.one(), rows, vectors)
+    for x in got:
+        _assert_canonical(x)
+
+
+def test_contract_builds_each_product_once(monkeypatch):
+    ctx = make_truncated_context([("a", 1, 2), ("b", 1, 1)])
+    x, y = ctx.one() + ctx.gen(0), ctx.gen(1)
+    count = []
+    mul = WeilElement.__mul__
+    monkeypatch.setattr(WeilElement, "__mul__", lambda a, b: count.append(1) or mul(a, b))
+    # (0,) is the coordinate itself; (0, 0) is built once for both rows and
+    # extended once by each last slot: three products in all
+    rows = [{(0, 0, 1): 1, (0, 0, 0): Fraction(1, 2)}, {(0, 0, 1): 3, (): 2}]
+    got = _contract(ctx, rows, [(x, y)] * 3)
+    assert len(count) == 3
+    monkeypatch.undo()
+    assert got == [x * x * y + x * x * x / 2, x * x * y * 3 + 2]
+    # y·y vanishes (one shared product), so y·y·x and y·y·y are never built
+    count.clear()
+    monkeypatch.setattr(WeilElement, "__mul__", lambda a, b: count.append(1) or mul(a, b))
+    got = _contract(ctx, [{(1, 1, 0): 1, (1, 1, 1): 1}], [(x, y)] * 3)
+    assert len(count) == 1
+    assert got == [ctx.zero()]
+
+
+def test_contract_scales_by_constant_elements():
+    ctx = make_truncated_context([("e", 2, 2)])
+    g = ctx.gen(0)
+    rows = [{(0,): ctx.scalar(Fraction(2, 3)), (1,): ctx.zero(), (): g}]
+    assert _contract(ctx, rows, [(g, ctx.gen(1))]) == [g * Fraction(2, 3) + g]
+
+
+def test_constant_elements_hash_as_their_scalars():
+    ctx = make_truncated_context([("e", 2, 2)])
+    assert len({ctx.one(), 1}) == 1
+    assert {1: "a"}.get(ctx.one()) == "a"
+    assert {Fraction(-3, 2): "b"}.get(ctx.scalar(Fraction(-3, 2))) == "b"
+    for q in (0, 1, -7, Fraction(2, 3), Fraction(5, 1)):
+        assert ctx.scalar(q) == q and hash(ctx.scalar(q)) == hash(q)
+    # equal elements of two equal contexts (two presentations of one ideal)
+    b = generic_nilsquare_tuple(2, 3)[0]
+    a = make_quotient_context(b.names, nilsquare_relations(2, 3), 3)
+    assert a is not b and a == b
+    for x, y in ((a.scalar(4), b.scalar(4)), (a.gen(1) / 3, b.gen(1) / 3), (a.one(), b.one())):
+        assert x == y and hash(x) == hash(y)
 
 
 def test_integer_model_equals_its_fraction_presentation():
