@@ -50,7 +50,8 @@ def _parse(path: str, text: str) -> Optional[Scenario]:
     try:
         return parse_scenario(text)
     except ParseError as exc:
-        print(f"{path}:{exc.line}:{exc.column}: {exc}", file=sys.stderr)
+        print(f"{path}:{exc.line}:{exc.column}: expected {exc.expected}, found {exc.found}",
+              file=sys.stderr)
         return None
 
 
@@ -86,7 +87,8 @@ def _cmd_eval(args) -> int:
         env = build_env(scenario)
         value = evaluate_expression(env, args.expr)
     except ParseError as exc:
-        print(f"{exc.line}:{exc.column}: {exc}", file=sys.stderr)
+        print(f"{exc.line}:{exc.column}: expected {exc.expected}, found {exc.found}",
+              file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - any evaluation fault is exit 2
         print(f"error: {exc}", file=sys.stderr)

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .polymap import Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Var, expr_to_poly
+from .weil import Record, _set_field
 
 __all__ = [
     "ParseError",
@@ -97,27 +97,26 @@ class ParseError(Exception):
 # -- expression leaves: the operators are polymap.Expr nodes -------------------------
 
 
-@dataclass(frozen=True)
-class ERef:
+class ERef(Record):
     """A bare name, or an indexed generator reference ``name[i]`` (1-based)."""
 
-    name: str
-    index: Optional[int] = None
+    __slots__ = ("name", "index")
+
+    def __init__(self, name: str, index: Optional[int] = None):  # one per name read
+        _set_field(self, "name", name)
+        _set_field(self, "index", index)
 
 
-@dataclass(frozen=True)
-class ECall:
+class ECall(Record):
     """A call of a declared map (``eval --expr`` only)."""
 
-    name: str
-    args: tuple
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True)
-class EVec:
+class EVec(Record):
     """Literal coordinate tuple; one-dimensional tuples read ``(expr,)``."""
 
-    items: tuple
+    __slots__ = ("items",)
 
 
 # -- statements --------------------------------------------------------------------
@@ -125,83 +124,60 @@ class EVec:
 # Relations and GAMMA entries are held as :class:`Poly`, so scenario equality
 # is syntax-independent; map bodies are polymap expressions over the parameters.
 
-@dataclass(frozen=True)
-class BlockDecl:
-    name: str
-    nvars: int
-    cap: int
-    line: int = field(compare=False, default=0)
+
+class _Decl(Record):
+    """A statement: its source ``line``, last and 0 by default, is not compared."""
+
+    __slots__ = ()
+    _defaults = (0,)
+    _compared = -1
 
 
-@dataclass(frozen=True)
-class QuotientDecl:
-    name: str
-    nvars: int
-    degcap: int
-    relations: tuple  # of Poly over the quotient's own generators
-    line: int = field(compare=False, default=0)
+class BlockDecl(_Decl):
+    __slots__ = ("name", "nvars", "cap", "line")
 
 
-@dataclass(frozen=True)
-class PointDecl:
-    name: str
-    expr: object
-    dim: int = field(compare=False, default=0)
-    line: int = field(compare=False, default=0)
+class QuotientDecl(_Decl):
+    # relations: Poly over the quotient's own generators
+    __slots__ = ("name", "nvars", "degcap", "relations", "line")
 
 
-@dataclass(frozen=True)
-class MapDecl:
-    name: str
-    params: tuple
-    out_dim: int
-    bodies: tuple  # polymap Expr in Var(0..) = params, one per output component
-    line: int = field(compare=False, default=0)
+class PointDecl(_Decl):
+    __slots__ = ("name", "expr", "dim", "line")
+    _defaults = (0, 0)
+    _compared = 2  # nor is ``dim``
 
 
-@dataclass(frozen=True)
-class FormDecl:
-    name: str
-    arity: int
-    dim: int
-    entries: tuple  # of ((i1..ik) 0-based, Fraction), sorted
-    line: int = field(compare=False, default=0)
+class MapDecl(_Decl):
+    # bodies: one polymap Expr per output component, in Var(0..) = params
+    __slots__ = ("name", "params", "out_dim", "bodies", "line")
 
 
-@dataclass(frozen=True)
-class ConnectionDecl:
-    name: str
-    dim: int
-    entries: tuple  # of ((i, a, b) 0-based with a <= b, Poly in x1..xn), sorted
-    line: int = field(compare=False, default=0)
+class FormDecl(_Decl):
+    # entries: ((i1..ik) 0-based, Fraction), sorted
+    __slots__ = ("name", "arity", "dim", "entries", "line")
 
 
-@dataclass(frozen=True)
-class RetractDecl:
-    name: str
-    iota: str
-    r: str
-    line: int = field(compare=False, default=0)
+class ConnectionDecl(_Decl):
+    # entries: ((i, a, b) 0-based with a <= b, Poly in x1..xn), sorted
+    __slots__ = ("name", "dim", "entries", "line")
 
 
-@dataclass(frozen=True)
-class CheckDecl:
-    kind: str
-    vectors: tuple = ()
-    k: Optional[int] = None
-    target: Optional[str] = None  # map / connection / retract name
-    iota: Optional[str] = None
-    at: Optional[object] = None
-    weights: tuple = ()
-    outer: tuple = ()
-    mode: Optional[str] = None  # axioms: canonical | connection | retract
-    line: int = field(compare=False, default=0)
+class RetractDecl(_Decl):
+    __slots__ = ("name", "iota", "r", "line")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    version: Optional[int]
-    statements: tuple
+class CheckDecl(_Decl):
+    # target: a map, connection or retract name; mode: axioms' canonical | connection | retract
+    __slots__ = ("kind", "vectors", "k", "target", "iota", "at", "weights", "outer", "mode", "line")
+
+    def __init__(self, kind: str, vectors=(), k=None, target=None, iota=None, at=None,
+                 weights=(), outer=(), mode=None, line=0):  # keywords bind faster here
+        super().__init__(kind, vectors, k, target, iota, at, weights, outer, mode, line)
+
+
+class Scenario(Record):
+    __slots__ = ("version", "statements")
 
     @property
     def checks(self) -> tuple:
@@ -404,7 +380,7 @@ class _Parser:
         self.expect_word("cap")
         cap = self.positive_int("cap >= 1")
         self.declare(name_tok, _Sym("block", nvars))
-        return BlockDecl(name_tok.value, nvars, cap, line=line)
+        return BlockDecl(name_tok.value, nvars, cap, line)
 
     def stmt_quotient(self):
         line = self.advance().line
@@ -422,7 +398,7 @@ class _Parser:
             self.advance()
             rels.append(self.polynomial({}, nvars, family=name_tok.value))
         self.expect("}")
-        return QuotientDecl(name_tok.value, nvars, degcap, tuple(rels), line=line)
+        return QuotientDecl(name_tok.value, nvars, degcap, tuple(rels), line)
 
     def stmt_point(self):
         line = self.advance().line
@@ -432,7 +408,7 @@ class _Parser:
         expr = self.expr()
         dim = self.infer_vector(expr, start)
         self.declare(name_tok, _Sym("point", dim))
-        return PointDecl(name_tok.value, expr, dim=dim, line=line)
+        return PointDecl(name_tok.value, expr, dim, line)
 
     def stmt_map(self):
         line = self.advance().line
@@ -458,7 +434,7 @@ class _Parser:
         if len(bodies) != out_dim:
             self.fail(f"{out_dim} component expression(s)", close)
         self.declare(name_tok, _Sym("map", len(params), out_dim))
-        return MapDecl(name_tok.value, tuple(params), out_dim, tuple(bodies), line=line)
+        return MapDecl(name_tok.value, tuple(params), out_dim, tuple(bodies), line)
 
     def stmt_form(self):
         line = self.advance().line
@@ -488,7 +464,7 @@ class _Parser:
         self.expect("}")
         self.declare(name_tok, _Sym("form", arity, dim))
         entries = tuple(sorted((k, v) for k, v in entries.items() if v))
-        return FormDecl(name_tok.value, arity, dim, entries, line=line)
+        return FormDecl(name_tok.value, arity, dim, entries, line)
 
     def stmt_connection(self):
         line = self.advance().line
@@ -517,7 +493,7 @@ class _Parser:
             entries[key] = self.polynomial(names, dim, homogeneous=False)
         self.expect("}")
         self.declare(name_tok, _Sym("connection", dim))
-        return ConnectionDecl(name_tok.value, dim, tuple(sorted(entries.items())), line=line)
+        return ConnectionDecl(name_tok.value, dim, tuple(sorted(entries.items())), line)
 
     def stmt_retract(self):
         line = self.advance().line
@@ -533,7 +509,7 @@ class _Parser:
         if iota.a != r.b or iota.b != r.a:
             self.fail("maps with matching chart/ambient dimensions", r_tok)
         self.declare(name_tok, _Sym("retract", iota.a, iota.b))
-        return RetractDecl(name_tok.value, iota_tok.value, r_tok.value, line=line)
+        return RetractDecl(name_tok.value, iota_tok.value, r_tok.value, line)
 
     # checks
 

@@ -21,12 +21,12 @@ identities of an idempotent.  All equalities are exact normal-form equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .weil import (
     PointVec,
+    Record,
     Scalar,
     WeilContext,
     WeilElement,
@@ -34,6 +34,7 @@ from .weil import (
     _as_fraction,
     _contract,
     _lincomb,
+    _set_field,
     make_truncated_context,
     mat_inverse,
 )
@@ -62,15 +63,14 @@ class MembershipError(WeilError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class AffineWeights:
+class AffineWeights(Record):
     """A tuple of rational weights summing to exactly 1."""
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(_as_fraction(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: tuple):
+        vals = tuple(_as_fraction(v) for v in values)
+        _set_field(self, "values", vals)
         if sum(vals, Fraction(0)) != 1:
             raise WeilError(f"affine weights must sum to 1, got {sum(vals, Fraction(0))}")
 

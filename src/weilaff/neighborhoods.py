@@ -20,30 +20,28 @@ an identity checked on the generic model holds in every model.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .weil import (
     Monomial,
     PointVec,
+    Record,
     WeilContext,
     WeilElement,
     WeilError,
     _as_fraction,
     _contract,
+    _decimal,
     make_quotient_context,
     make_truncated_context,
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Evidence that a vanishing condition failed (or that two values differ)."""
 
-    location: str
-    monomial: str
-    coefficient: Fraction
+    __slots__ = ("location", "monomial", "coefficient")  # str, str, Fraction
 
     @classmethod
     def of(cls, location: str, element: WeilElement) -> "Witness":
@@ -54,11 +52,11 @@ class Witness:
         return {
             "location": self.location,
             "monomial": self.monomial,
-            "coefficient": str(self.coefficient),
+            "coefficient": _decimal(self.coefficient),
         }
 
 
-class MultilinearForm:
+class MultilinearForm(Record):
     """A rational multilinear form given by its coefficient on each index tuple.
 
     ``coeffs`` maps 0-based index tuples of length ``arity`` to rationals;
@@ -70,8 +68,6 @@ class MultilinearForm:
     def __init__(self, arity: int, dim: int, coeffs):
         if arity < 1:
             raise WeilError("form arity must be at least 1")
-        self.arity = arity
-        self.dim = dim
         cleaned = {}
         for idx, c in coeffs.items():
             idx = tuple(idx)
@@ -80,13 +76,7 @@ class MultilinearForm:
             c = _as_fraction(c)
             if c:
                 cleaned[idx] = cleaned.get(idx, 0) + c
-        self.coeffs = {i: c for i, c in cleaned.items() if c}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultilinearForm)
-            and (self.arity, self.dim, self.coeffs) == (other.arity, other.dim, other.coeffs)
-        )
+        super().__init__(arity, dim, {i: c for i, c in cleaned.items() if c})
 
     def __repr__(self):
         return f"MultilinearForm(arity={self.arity}, dim={self.dim}, {len(self.coeffs)} terms)"

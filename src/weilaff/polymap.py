@@ -26,18 +26,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .weil import (
     PointVec,
+    Record,
     Scalar,
     WeilContext,
     WeilElement,
     WeilError,
     _as_fraction,
     _contract,
+    _set_field,
     invert,
     make_truncated_context,
 )
@@ -282,60 +283,63 @@ class PolyMap:
 # -- expression trees -----------------------------------------------------------
 
 
-class Expr:
-    """Base class for closed-form scalar expressions in ``x1..xn``."""
+class Expr(Record):
+    """Base class for closed-form scalar expressions in ``x1..xn``.  The parser
+    builds one per token, so the nodes take the two lean ``__init__``s below."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    value: Fraction
+class _OneField(Expr):
+    __slots__ = ()
+
+    def __init__(self, a):
+        _set_field(self, self.__slots__[0], a)
 
 
-@dataclass(frozen=True)
-class Var(Expr):
-    index: int
+class _TwoFields(Expr):
+    __slots__ = ()
+
+    def __init__(self, a, b):
+        first, second = self.__slots__
+        _set_field(self, first, a)
+        _set_field(self, second, b)
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class Const(_OneField):
+    __slots__ = ("value",)  # a Fraction
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Var(_OneField):
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Add(_TwoFields):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Sub(_TwoFields):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
+class Mul(_TwoFields):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Power(Expr):
-    base: Expr
-    exponent: int
+class Div(_TwoFields):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sqrt(Expr):
-    operand: Expr
+class Neg(_OneField):
+    __slots__ = ("operand",)
+
+
+class Power(_TwoFields):
+    __slots__ = ("base", "exponent")  # an Expr and an int
+
+
+class Sqrt(_OneField):
+    __slots__ = ("operand",)
 
 
 def eval_expr(expr: Expr, coords: Sequence[WeilElement]) -> WeilElement:
@@ -393,7 +397,7 @@ def expr_to_poly(expr: Expr, nvars: int) -> Optional[Poly]:
     raise WeilError(f"unknown expression node {type(expr).__name__}")
 
 
-class ExprMap:
+class ExprMap(Record):
     """A closed-form map R^n -> R^m given by one expression tree per component."""
 
     __slots__ = ("in_dim", "out_dim", "components")
@@ -402,16 +406,7 @@ class ExprMap:
         components = tuple(components)
         if len(components) != out_dim:
             raise WeilError("component count does not match output dimension")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.components = components
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExprMap)
-            and (self.in_dim, self.out_dim, self.components)
-            == (other.in_dim, other.out_dim, other.components)
-        )
+        super().__init__(in_dim, out_dim, components)
 
     def __repr__(self):
         return f"ExprMap({self.in_dim}->{self.out_dim})"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .neighborhoods import Witness
@@ -12,22 +11,24 @@ from .neighborhoods import Witness
 REPORT_VERSION = 1
 
 
-@dataclass
 class CheckEntry:
-    name: str
-    kind: str
-    status: str  # "pass" | "fail" | "error"
-    witness: Optional[dict] = None
-    millis: int = 0
+    """One check's outcome; ``millis`` is set once the check has run."""
+
+    __slots__ = ("name", "kind", "status", "witness", "millis")
+
+    def __init__(self, name: str, kind: str, status: str, witness: Optional[dict] = None,
+                 millis: int = 0):
+        self.name, self.kind, self.status = name, kind, status  # "pass" | "fail" | "error"
+        self.witness, self.millis = witness, millis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "status": self.status,
-            "witness": self.witness,
-            "millis": self.millis,
-        }
+        values = (self.name, self.kind, self.status, self.witness, self.millis)
+        return dict(zip(self.__slots__, values))
 
     def line(self) -> str:
         tag = self.status.upper().ljust(5)
@@ -42,9 +43,18 @@ class CheckEntry:
         return f"{tag} {self.name} ({self.kind}){extra}"
 
 
-@dataclass
 class CheckReport:
-    entries: list = field(default_factory=list)
+    """The entries of a run, in order; they grow as checks run."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Optional[list] = None):
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     def add(self, entry: CheckEntry) -> CheckEntry:
         self.entries.append(entry)

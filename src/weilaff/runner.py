@@ -271,8 +271,6 @@ def run_scenario(scenario: dsl.Scenario) -> CheckReport:
 
 
 def format_value(v: Value) -> str:
-    if isinstance(v, PointVec):
-        return "(" + ", ".join(str(c) for c in v.coords) + ")"
     return str(v)
 
 

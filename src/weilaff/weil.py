@@ -100,6 +100,64 @@ def _as_fraction(q: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational scalar, got {type(q).__name__}")
 
 
+def _decimal(q: Scalar) -> str:
+    """``str(q)`` of an int or Fraction, in full: str() refuses an int past the
+    interpreter's limit (4,300 digits by default, never below 640 if set)."""
+    if isinstance(q, Fraction):
+        num = _decimal(q.numerator)
+        return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
+    n, chunks = abs(q), []
+    while n >= 10**600:  # a chunk of 600 digits is under any limit
+        n, low = divmod(n, 10**600)
+        chunks.append(str(low).zfill(600))
+    return ("-" if q < 0 else "") + str(n) + "".join(reversed(chunks))
+
+
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value classes: a frozen dataclass without the cost
+    of building one.  ``__slots__`` names the fields in constructor order,
+    ``_defaults`` the trailing ones' defaults.  The fields before index
+    ``_compared`` (all when None) decide ``==`` and the hash, within one class;
+    the rest ride along.  Fields are frozen; the repr is a dataclass's."""
+
+    __slots__ = ()
+    _defaults = ()
+    _compared = None
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # complete them from kwargs and the defaults
+            values = dict(zip(names[len(names) - len(self._defaults):], self._defaults),
+                          **dict(zip(names, args)), **kwargs)
+            if len(args) > len(names) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__[: self._compared]])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):  # copy and pickle go through __init__
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def monomials_of_degree(nvars: int, degree: int) -> Iterable[Monomial]:
     """Yield every exponent tuple over ``nvars`` variables of total degree
     ``degree``, largest first."""
@@ -113,16 +171,10 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterable[Monomial]:
         yield tuple(exps)
 
 
-class Block:
+class Block(Record):
     """A run of generators sharing one degree cap."""
 
     __slots__ = ("name", "start", "count", "cap")
-
-    def __init__(self, name: str, start: int, count: int, cap: int):
-        self.name = name
-        self.start = start
-        self.count = count
-        self.cap = cap
 
 
 class WeilContext:
@@ -610,11 +662,8 @@ _contexts = weakref.WeakValueDictionary()
 def _intern(names: tuple, blocks: tuple, relations: tuple) -> WeilContext:
     """The live context of this presentation, or a new one.  Relations come
     cleaned, so coefficients of equal value give one key."""
-    key = (
-        names,
-        tuple((b.name, b.start, b.count, b.cap) for b in blocks),
-        tuple(tuple(rel.items()) for rel in relations),
-    )
+    block_fields = tuple((b.name, b.start, b.count, b.cap) for b in blocks)
+    key = (names, block_fields, tuple(tuple(rel.items()) for rel in relations))
     ctx = _contexts.get(key)
     if ctx is None:
         # a race at worst builds two equal contexts, one of them stored
@@ -876,13 +925,13 @@ class WeilElement:
             c = coeffs[mono]
             mstr = self.context.format_monomial(mono)
             if mstr == "1":
-                text = str(c)
+                text = _decimal(c)
             elif c == 1:
                 text = mstr
             elif c == -1:
                 text = f"-{mstr}"
             else:
-                text = f"{c}·{mstr}"
+                text = f"{_decimal(c)}·{mstr}"
             parts.append(text)
         out = parts[0]
         for p in parts[1:]:

@@ -309,7 +309,8 @@ def test_rejected_with_position(text, line, col, expected, found):
     assert (err.line, err.column) == (line, col)
     assert expected in err.expected
     assert err.found == found
-    # message format is part of the interface (CLI prints it verbatim)
+    # message format is part of the library's interface; the CLI prints its
+    # own FILE:LINE:COL: prefix and then only the expected/found part
     assert str(err).startswith(f"line {line}, col {col}: expected ")
     # the position points into the source
     lines = text.splitlines() or [""]

@@ -6,9 +6,13 @@ inserted non-ASCII digit or letter, or by bytes that are no UTF-8 text.
 Whatever the parser makes of it, the CLI must answer with an exit code
 (0, 1 or 2) and never raise or print a traceback; a file that is no UTF-8
 text exits 2 at the position of its first bad byte, and a point nested
-deeper than the interpreter's stack exits 2 at its statement.
+deeper than the interpreter's stack exits 2 at its statement.  A value
+with more digits than CPython converts to a string by default is still
+reported in full.
 """
 
+import decimal
+import json
 import pathlib
 import random
 import sys
@@ -124,3 +128,25 @@ def test_high_power_evaluates_in_small_time_and_memory(tmp_path, capsys):
     tracemalloc.stop()
     assert code == 0, capsys.readouterr()
     assert seconds < 1.0 and peak < 8_000_000, (seconds, peak)
+
+
+def test_large_coefficient_is_a_fail_with_its_exact_witness(tmp_path, capsys):
+    """A coefficient past the interpreter's 4,300-digit limit on int-to-str
+    conversion keeps its verdict: FAIL with the exact witness, not ERROR."""
+    path = tmp_path / "large.weil"
+    path.write_text("block d vars 1 cap 2\npoint V = (2^20000 * d[1],)\ncheck in-Dk (V) k=1\n")
+    # Decimal converts an int without that limit: an independent decimal text
+    square, value = str(decimal.Decimal(2**40000)), str(decimal.Decimal(2**20000))
+    assert len(square) > 12_000
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out.startswith(f"FAIL  in-Dk@L3 (in-Dk)  [v[1]·v[1] -> {square}·d^2]\n")
+    assert out.err == ""
+    assert main(["check", str(path), "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["checks"][0]["witness"]
+    assert witness == {"location": "v[1]·v[1]", "monomial": "d^2", "coefficient": square}
+    assert main(["eval", str(path), "--expr", "V"]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (f"({value}·d)\n", "")
+    assert main(["eval", str(path), "--expr", "-V / 3 - (2^20000,)"]) == 0
+    assert capsys.readouterr().out == f"(-{value} - {value}/3·d)\n"

@@ -1,5 +1,6 @@
 """Core algebra: contexts, ring ops, inversion, sqrt, matrices, quotients."""
 
+import decimal
 import gc
 import itertools
 import math
@@ -29,7 +30,7 @@ from weilaff import (
     sqrt,
 )
 from weilaff import weil
-from weilaff.weil import WeilElement, _contract, _lincomb
+from weilaff.weil import WeilElement, _contract, _decimal, _lincomb
 
 from _oracles import (
     as_dense,
@@ -1085,3 +1086,26 @@ def test_integer_model_equals_its_fraction_presentation():
     assert again.relations == ctx.relations
     assert again == ctx and hash(again) == hash(ctx)
     assert again.gen(0) * again.gen(3) == ctx.gen(0) * ctx.gen(3)
+
+
+# powers of ten next to the 600-digit chunks and the 4,300-digit limit, and
+# integers of up to about 15,000 digits
+_BIG_INTS = st.one_of(
+    st.sampled_from([0, 1, 599, 600, 601, 1200, 4299, 4300, 4301, 9000]).flatmap(
+        lambda k: st.sampled_from([10**k - 1, 10**k, 10**k + 1])),
+    st.integers(0, 50_000).flatmap(lambda bits: st.integers(2**bits, 2**(bits + 1))),
+)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_BIG_INTS, _BIG_INTS, st.booleans())
+def test_decimal_prints_every_digit(a, b, negative):
+    """``_decimal`` agrees with Decimal, which converts an int without the
+    interpreter's limit on int-to-str conversion."""
+    n = -a if negative else a
+    assert _decimal(n) == str(decimal.Decimal(n))
+    q = Fraction(n, b + 1)
+    want = str(decimal.Decimal(q.numerator))
+    if q.denominator != 1:
+        want += "/" + str(decimal.Decimal(q.denominator))
+    assert _decimal(q) == want
