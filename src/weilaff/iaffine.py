@@ -9,8 +9,15 @@ handle with a uniform interface:
 * connection   -- second order only: weighted sum plus the curvature
                   correction  1/2 * (G[s-P1]^2 - sum_j w_j G[Pj-P1]^2)
                   with G the connection's bilinear map at the first point;
+                  with D_j = Pj - P1 it expands by bilinearity into
+                  sum_j w_j Pj + sum_{j<l} w_j w_l G[D_j, D_l]
+                               + 1/2 sum_j (w_j^2 - w_j) G[D_j, D_j];
 * retract      -- combine upstairs through an embedding/retraction pair:
                   r(sum_j w_j iota(Pj)).
+
+Each handle's ``combiner(points)`` returns ``weights -> point`` and does the
+tuple's weight-independent work once: G at P1 and each pair G[D_j, D_l] are
+built once per tuple, the embedded points once.
 
 The ``check_*`` functions verify the action axioms (membership of inputs,
 membership of outputs, associativity of iterated combination, projection on
@@ -21,8 +28,9 @@ identities of an idempotent.  All equalities are exact normal-form equality.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .weil import (
     PointVec,
@@ -229,14 +237,33 @@ def connection_apply(
     return Q + S - P + G.apply(Q - P, S - P)
 
 
-def _combine_with_bilinear(G: BilinearMap, weights: AffineWeights, points) -> PointVec:
-    s = weighted_point_sum(weights, points)
-    P1 = points[0]
-    corr = G.apply(s - P1, s - P1)
-    for lam, Pj in zip(weights.values, points):
-        if lam:
-            corr = corr - lam * G.apply(Pj - P1, Pj - P1)
-    return s + Fraction(1, 2) * corr
+def _bilinear_combiner(at: Callable, points: Sequence[PointVec]) -> Callable:
+    """weights -> the connection combine of ``points`` with G = at(P1), expanded
+    as in the module docstring.  Each pair G[D_j, D_l] is built when a weight
+    tuple first gives it a nonzero coefficient.  Every call checks what ``at``
+    and :func:`weighted_point_sum` check; only work that succeeded is kept."""
+    points = list(points)
+    gamma = functools.cache(lambda: at(points[0]))
+    differences = functools.cache(lambda: [P - points[0] for P in points])
+    pairs = {}
+
+    def combine(weights) -> PointVec:
+        weights = _as_weights(weights)
+        G, s = gamma(), weighted_point_sum(weights, points)
+        D, w, terms = differences(), weights.values, [(1, s)]
+        for j in range(1, len(w)):
+            for l in range(j, len(w)):
+                q = w[j] * w[l] if j < l else (w[j] * w[j] - w[j]) / 2
+                if q:
+                    if (j, l) not in pairs:
+                        pairs[j, l] = G.apply(D[j], D[l])
+                    terms.append((q, pairs[j, l]))
+        ctx = s.context
+        return PointVec(ctx, tuple(
+            _lincomb(ctx, ((q, X[a]) for q, X in terms)) for a in range(s.dim)
+        ))
+
+    return combine
 
 
 def connection_combine(
@@ -252,7 +279,7 @@ def connection_combine(
         w = find_A_k_violation(points, 2)
         if w is not None:
             raise MembershipError("tuple is not a second-order i-tuple", w)
-    return _combine_with_bilinear(c.at(points[0]), weights, points)
+    return _bilinear_combiner(c.at, points)(weights)
 
 
 def pullback_connection(c: Connection, iota: PolyMap, P: PointVec) -> BilinearMap:
@@ -358,8 +385,7 @@ def retract_combine(
         w = _retract_membership_violation(rp, points)
         if w is not None:
             raise MembershipError("tuple does not lie second-order on the retract", w)
-    imgs = [rp.embed(P) for P in points]
-    return rp.retract(weighted_point_sum(weights, imgs))
+    return RetractAction(rp).combiner(points)(weights)
 
 
 # -- action handles --------------------------------------------------------------------
@@ -378,6 +404,9 @@ class CanonicalAction:
 
     def membership_violation(self, points) -> Optional[Witness]:
         return find_A_k_violation(points, self.order)
+
+    def combiner(self, points):
+        return lambda weights: weighted_point_sum(weights, points)
 
     def combine(self, weights, points, check: bool = True) -> PointVec:
         return canonical_combine(weights, points, self.order, check=check)
@@ -399,6 +428,9 @@ class ConnectionAction:
     def membership_violation(self, points) -> Optional[Witness]:
         return find_A_k_violation(points, 2)
 
+    def combiner(self, points):
+        return _bilinear_combiner(self.connection.at, points)
+
     def combine(self, weights, points, check: bool = True) -> PointVec:
         return connection_combine(self.connection, weights, points, check=check)
 
@@ -419,6 +451,11 @@ class RetractAction:
     def membership_violation(self, points) -> Optional[Witness]:
         return _retract_membership_violation(self.pair, points)
 
+    def combiner(self, points):
+        rp, points = self.pair, list(points)
+        images = functools.cache(lambda: [rp.embed(P) for P in points])
+        return lambda weights: rp.retract(weighted_point_sum(_as_weights(weights), images()))
+
     def combine(self, weights, points, check: bool = True) -> PointVec:
         return retract_combine(self.pair, weights, points, check=check)
 
@@ -426,6 +463,10 @@ class RetractAction:
         return self.pair.project_chart(X)
 
 
+# A handle has ``kind``, ``order``, ``dim``, ``membership_violation(points)``,
+# ``combiner(points)`` (weights -> point: the tuple's weight-independent work done
+# once, nothing raised until called), ``combine(weights, points, check)`` and
+# ``canonicalize_point(X)``.
 ActionHandle = Union[CanonicalAction, ConnectionAction, RetractAction]
 
 
@@ -462,11 +503,12 @@ def check_axioms(
         lambda: handle.membership_violation(points),
     )
 
+    combine = handle.combiner(points)
     combined: list = []
 
     def neighbourhood():
         combined.clear()
-        combined.extend(handle.combine(w, points, check=False) for w in families)
+        combined.extend(combine(w) for w in families)
         return handle.membership_violation(combined)
 
     report.run(f"{name_prefix}/neighbourhood", "neighbourhood", neighbourhood)
@@ -474,19 +516,19 @@ def check_axioms(
     if outer is not None:
 
         def associativity():
-            nested = handle.combine(outer, combined, check=False)
+            nested = handle.combiner(combined)(outer)
             flat = [
                 sum((mu * w[j] for mu, w in zip(outer.values, families)), Fraction(0))
                 for j in range(len(points))
             ]
-            direct = handle.combine(AffineWeights(tuple(flat)), points, check=False)
+            direct = combine(AffineWeights(tuple(flat)))
             return difference_witness(nested, direct, "nested - flattened combine")
 
         report.run(f"{name_prefix}/associativity", "associativity", associativity)
 
     def projection():
         for j in range(len(points)):
-            got = handle.combine(basis_weights(len(points), j), points, check=False)
+            got = combine(basis_weights(len(points), j))
             w = difference_witness(got, points[j], f"combine(e_{j + 1}) - P{j + 1}")
             if w is not None:
                 return w
@@ -578,20 +620,25 @@ def check_pullback_lemma(
         "membership",
         lambda: find_A_k_violation(points, 2),
     )
-    Gt = pullback_connection(c, iota, points[0])
-    imgs = [eval_map(iota, P) for P in points]
-    G = c.at(imgs[0])
+    down, up = _pullback_combiners(c, iota, points)
     for idx, w in enumerate(families):
         report.run(
             f"{name_prefix}/transport[{idx + 1}]",
             "transport",
             lambda w=w: difference_witness(
-                eval_map(iota, _combine_with_bilinear(Gt, w, points)),
-                _combine_with_bilinear(G, w, imgs),
-                "iota(combine~) - combine(iota)",
+                eval_map(iota, down(w)), up(w), "iota(combine~) - combine(iota)"
             ),
         )
     return report
+
+
+def _pullback_combiners(c: Connection, iota: PolyMap, points: Sequence[PointVec]) -> tuple:
+    """The two sides of the pullback lemma: the combiner of ``points`` with the
+    pulled-back map at P1, and that of their images with G at iota(P1)."""
+    Gt = pullback_connection(c, iota, points[0])
+    imgs = [eval_map(iota, P) for P in points]
+    G = c.at(imgs[0])
+    return _bilinear_combiner(lambda P: Gt, points), _bilinear_combiner(lambda P: G, imgs)
 
 
 def check_idempotent_identities(

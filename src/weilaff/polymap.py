@@ -342,6 +342,11 @@ class Sqrt(_OneField):
     __slots__ = ("operand",)
 
 
+# A chain of binary operators leans left: the walks below fold its left spine
+# in a loop, so a long sum or product needs no stack.
+_BINARY = (Add, Sub, Mul, Div)
+
+
 def eval_expr(expr: Expr, coords: Sequence[WeilElement]) -> WeilElement:
     """Evaluate an expression tree at algebra elements (exactly)."""
     ctx = coords[0].context
@@ -351,14 +356,18 @@ def eval_expr(expr: Expr, coords: Sequence[WeilElement]) -> WeilElement:
         if not 0 <= expr.index < len(coords):
             raise DimensionMismatchError(f"variable x{expr.index + 1} out of range")
         return coords[expr.index]
-    if isinstance(expr, Add):
-        return eval_expr(expr.left, coords) + eval_expr(expr.right, coords)
-    if isinstance(expr, Sub):
-        return eval_expr(expr.left, coords) - eval_expr(expr.right, coords)
-    if isinstance(expr, Mul):
-        return eval_expr(expr.left, coords) * eval_expr(expr.right, coords)
-    if isinstance(expr, Div):
-        return eval_expr(expr.left, coords) * invert(eval_expr(expr.right, coords))
+    if isinstance(expr, _BINARY):
+        spine = []
+        while isinstance(expr, _BINARY):
+            spine.append(expr)
+            expr = expr.left
+        value = eval_expr(expr, coords)
+        for node in reversed(spine):
+            b = eval_expr(node.right, coords)
+            kind = type(node)
+            value = (value + b if kind is Add else value - b if kind is Sub
+                     else value * b if kind is Mul else value * invert(b))
+        return value
     if isinstance(expr, Neg):
         return -eval_expr(expr.operand, coords)
     if isinstance(expr, Power):
@@ -374,18 +383,21 @@ def expr_to_poly(expr: Expr, nvars: int) -> Optional[Poly]:
         return Poly.constant(nvars, expr.value)
     if isinstance(expr, Var):
         return Poly.variable(nvars, expr.index)
-    if isinstance(expr, (Add, Sub, Mul)):
-        a = expr_to_poly(expr.left, nvars)
-        b = expr_to_poly(expr.right, nvars)
-        if a is None or b is None:
-            return None
-        return a + b if isinstance(expr, Add) else a - b if isinstance(expr, Sub) else a * b
-    if isinstance(expr, Div):
-        a = expr_to_poly(expr.left, nvars)
-        b = expr_to_poly(expr.right, nvars)
-        if a is None or b is None or not b.is_constant() or not b.constant_value():
-            return None
-        return a * (1 / b.constant_value())
+    if isinstance(expr, _BINARY):
+        spine = []
+        while isinstance(expr, _BINARY):
+            spine.append(expr)
+            expr = expr.left
+        a = expr_to_poly(expr, nvars)
+        for node in reversed(spine):
+            b = expr_to_poly(node.right, nvars)
+            kind = type(node)
+            if a is None or b is None or kind is Div and not (b.is_constant() and b.constant_value()):
+                a = None
+            else:
+                a = (a + b if kind is Add else a - b if kind is Sub
+                     else a * b if kind is Mul else a * (1 / b.constant_value()))
+        return a
     if isinstance(expr, Neg):
         a = expr_to_poly(expr.operand, nvars)
         return None if a is None else -a

@@ -223,6 +223,22 @@ def contract(zero, one, rows: Sequence[Mapping], vectors: Sequence[Sequence]) ->
     return out
 
 
+def connection_combine(G, weights: Sequence[Fraction], points: Sequence) -> object:
+    """The second-order connection combine by its direct formula,
+    s + 1/2 (G[s - P1, s - P1] - sum_j w_j G[Pj - P1, Pj - P1]) with
+    s = sum_j w_j Pj, with no expansion and nothing shared between terms.
+    ``G`` is anything with ``apply(u, v)``; points need ``+``, ``-`` and
+    rational scaling, as algebra points have."""
+    P1 = points[0]
+    s = P1
+    for w, P in zip(weights, points):
+        s = s + w * (P - P1)  # the weights sum to 1
+    corr = G.apply(s - P1, s - P1)
+    for w, P in zip(weights, points):
+        corr = corr - w * G.apply(P - P1, P - P1)
+    return s + Fraction(1, 2) * corr
+
+
 def as_dense(element) -> Dense:
     """Coefficient dict of a WeilElement (plain data, no behavior)."""
     return dict(element.coeffs)

@@ -7,10 +7,14 @@ hand-expanded small cases and exercises the axiom checker on both honest and
 deliberately broken actions.
 """
 
+import collections
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from _oracles import connection_combine as direct_combine, monomials_up_to
 
 from weilaff import (
     Add,
@@ -30,6 +34,7 @@ from weilaff import (
     RetractPair,
     Sqrt,
     Var,
+    WeilElement,
     WeilError,
     basis_weights,
     canonical_combine,
@@ -49,7 +54,8 @@ from weilaff import (
     retract_combine,
     weighted_point_sum,
 )
-from weilaff.iaffine import _combine_with_bilinear
+from weilaff.iaffine import _bilinear_combiner, _pullback_combiners
+from weilaff.report import CheckReport
 from weilaff.weil import SingularMatrixError
 
 
@@ -154,6 +160,27 @@ def test_bilinear_map_hand_expansion():
     # storage normalizes the index pair
     G2 = BilinearMap(2, {(0, (1, 0)): c.one()})
     assert G2.entry(0, 0, 1) == c.one()
+
+
+SMALL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), 3])
+SYM_CTX = make_truncated_context([("e", 3, 2)])
+
+
+def _elements(ctx):
+    monos = monomials_up_to(ctx.ngens, 2)
+    return st.dictionaries(st.sampled_from(monos), SMALL, max_size=4).map(ctx.element)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bilinear_map_apply_is_symmetric(data):
+    # the expanded connection combine relies on G[u, v] = G[v, u]
+    n = data.draw(st.integers(1, 3))
+    index = st.tuples(st.integers(0, n - 1), st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    G = BilinearMap(n, data.draw(st.dictionaries(index, _elements(SYM_CTX), max_size=6)))
+    point = st.lists(_elements(SYM_CTX), min_size=n, max_size=n).map(lambda c: PointVec(SYM_CTX, c))
+    u, v = data.draw(point), data.draw(point)
+    assert G.apply(u, v) == G.apply(v, u)
 
 
 @pytest.mark.parametrize("moved", [False, True])
@@ -267,6 +294,58 @@ def test_connection_combine_rejects_far_tuples():
     pts = [c.point((0, 0)), c.point((1, 0)), c.point((0, 1))]
     with pytest.raises(MembershipError):
         connection_combine(Connection.zero(2), (-1, 1, 1), pts)
+
+
+@st.composite
+def connection_cases(draw):
+    """A connection of degree <= 1 in n = 1..3 variables, a unitriangular chart,
+    a generic second-order t-tuple (t = 2..5), affine weights with zeros and
+    repeats plus one basis tuple, and outer weights for the combined tuple."""
+    n, t = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    monos = [(0,) * n] + [tuple(int(v == a) for v in range(n)) for a in range(n)]
+    entries = {
+        (i, a, b): Poly(n, {m: draw(SMALL) for m in monos})
+        for i in range(n) for a in range(n) for b in range(a, n)
+    }
+    # component i is x_i plus terms in the later variables: J is unitriangular
+    chart = [
+        Poly(n, {monos[i + 1]: 1, **{
+            tuple(e * int(v == j) for v in range(n)): draw(SMALL)
+            for j in range(i + 1, n) for e in (1, 2)
+        }})
+        for i in range(n)
+    ]
+
+    def affine(size):
+        head = [draw(SMALL) for _ in range(size - 1)]
+        return tuple(head) + (1 - sum(head, Fraction(0)),)
+
+    families = [affine(t) for _ in range(draw(st.integers(1, 3)))]
+    families.append(basis_weights(t, draw(st.integers(0, t - 1))))
+    _, pts = generic_Ak_tuple(n, 2, t, base=[draw(SMALL) for _ in range(n)])
+    return Connection(n, entries), PolyMap(n, n, chart), pts, families, affine(len(families))
+
+
+@settings(max_examples=40, deadline=None)
+@given(connection_cases())
+def test_connection_combiners_match_the_direct_formula(case):
+    conn, iota, pts, families, outer = case
+    combine = ConnectionAction(conn).combiner(pts)
+    down, up = _pullback_combiners(conn, iota, pts)
+    Gt = pullback_connection(conn, iota, pts[0])
+    imgs = [eval_map(iota, P) for P in pts]
+    combined = []
+    for w in families:
+        want = direct_combine(conn.at(pts[0]), w, pts)
+        assert connection_combine(conn, w, pts) == want
+        assert combine(w) == want
+        combined.append(want)
+        assert down(w) == direct_combine(Gt, w, pts)
+        assert up(w) == direct_combine(conn.at(imgs[0]), w, imgs)
+    # the combined tuple, whose coordinates are dense elements, with weights of its own
+    want = direct_combine(conn.at(combined[0]), outer, combined)
+    assert connection_combine(conn, outer, combined, check=False) == want
+    assert ConnectionAction(conn).combiner(combined)(outer) == want
 
 
 # -- Christoffel pullback ----------------------------------------------------------------
@@ -498,6 +577,9 @@ def test_axioms_fail_with_witness_on_broken_action():
             G = conn.at(points[0])
             return s + Fraction(1, 2) * G.apply(s - points[0], s - points[0])
 
+        def combiner(self, points):
+            return lambda weights: self.combine(weights, points)
+
         def canonicalize_point(self, X):
             return X
 
@@ -530,16 +612,95 @@ def test_doubled_correction_breaks_parallelogram_equivalence():
 
 
 def test_antisymmetric_injection_is_inert():
-    # the combine applies the bilinear map only on the diagonal, so an
-    # antisymmetric raw-entry injection cannot change any output
+    # apply reads the contraction rows built in the constructor, never
+    # ``entries``: an antisymmetric entry edited in after construction
+    # changes no combine, not even one built afterwards
     _, pts = generic_Ak_tuple(2, 2, 3)
     ctx = pts[0].context
     G = BilinearMap(2, {(0, (0, 1)): ctx.one()})
     w = AffineWeights(WEIGHT_FAMILIES[0])
-    before = _combine_with_bilinear(G, w, pts)
+    before = _bilinear_combiner(lambda P: G, pts)(w)
     G.entries[(0, (1, 0))] = ctx.scalar(17)  # bypasses normalization, never read
-    after = _combine_with_bilinear(G, w, pts)
+    after = _bilinear_combiner(lambda P: G, pts)(w)
     assert all((before[i] - after[i]).is_zero() for i in range(2))
+
+
+def _statuses(report):
+    return {e.name: e.status for e in report.entries}
+
+
+def test_connection_of_another_dimension_errors_in_every_combine():
+    # basis weights need no pair, but each combine still evaluates Gamma at P1
+    _, pts = generic_Ak_tuple(2, 2, 3)
+    conn = Connection(3, {(0, 0, 0): 1})
+    rep = check_axioms(ConnectionAction(conn), pts, WEIGHT_FAMILIES, outer=OUTER)
+    assert _statuses(rep) == {
+        "axioms/membership": "pass",
+        "axioms/neighbourhood": "error",
+        "axioms/associativity": "error",
+        "axioms/projection": "error",
+    }
+    assert rep.entries[-1].witness == {"message": "connection evaluated at wrong dimension"}
+
+
+def test_points_of_two_contexts_error_in_every_entry():
+    # each combine checks the contexts; building a combiner raises nothing
+    _, pts = generic_Ak_tuple(2, 2, 3)
+    _, other = generic_Ak_tuple(2, 2, 2)
+    x, y = xy_polys()
+    conn = Connection(2, {(0, 0, 1): x, (1, 1, 1): y})
+    rep = check_axioms(ConnectionAction(conn), pts[:2] + other[1:], WEIGHT_FAMILIES, outer=OUTER)
+    assert set(_statuses(rep).values()) == {"error"} and len(rep.entries) == 4
+    assert rep.entries[-1].witness == {"message": "points belong to different contexts"}
+
+
+def _counting(monkeypatch, counts, cls, name):
+    fn = getattr(cls, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_connection_axioms_evaluate_gamma_once_per_tuple_and_each_pair_once(monkeypatch):
+    t, F = 4, 3
+    x, y = xy_polys()
+    conn = Connection(2, {(0, 0, 0): x, (0, 0, 1): y, (1, 1, 1): x + y, (1, 0, 0): 3})
+    _, pts = generic_Ak_tuple(2, 2, t, base=(1, -2))
+    families = [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 0), (-1, 1, 1, 0), (2, 0, -1, 0)]
+    counts, per_entry = collections.Counter(), {}
+    for cls, name in ((Connection, "at"), (BilinearMap, "apply"), (WeilElement, "__mul__")):
+        _counting(monkeypatch, counts, cls, name)
+    run = CheckReport.run
+
+    def run_counted(self, name, kind, fn):
+        before = counts["__mul__"]
+        entry = run(self, name, kind, fn)
+        per_entry[name] = counts["__mul__"] - before
+        return entry
+
+    monkeypatch.setattr(CheckReport, "run", run_counted)
+    assert_all_pass(check_axioms(ConnectionAction(conn), pts, families, outer=OUTER))
+    # once at P1 of the input tuple, once at the first combined point
+    assert counts["at"] == 2
+    assert counts["apply"] <= t * (t - 1) // 2 + F * (F - 1) // 2
+    assert per_entry["axioms/projection"] == 0
+
+
+def test_retract_axioms_embed_each_point_once_for_all_combines(monkeypatch):
+    rp = circle_pair()
+    _, raw = generic_Ak_tuple(2, 2, 3, base=(Fraction(3, 5), Fraction(4, 5)))
+    pts = [rp.idempotent_eval(P) for P in raw]
+    embedded = collections.Counter()
+    embed = RetractPair.embed
+    monkeypatch.setattr(
+        RetractPair, "embed", lambda self, P: embedded.update([id(P)]) or embed(self, P)
+    )
+    assert_all_pass(check_axioms(RetractAction(rp), pts, WEIGHT_FAMILIES, outer=OUTER))
+    # once by the membership entry, once by the combiner for every combine
+    assert [embedded[id(P)] for P in pts] == [2, 2, 2]
 
 
 # -- induced parallelogram action --------------------------------------------------------

@@ -6,9 +6,10 @@ inserted non-ASCII digit or letter, or by bytes that are no UTF-8 text.
 Whatever the parser makes of it, the CLI must answer with an exit code
 (0, 1 or 2) and never raise or print a traceback; a file that is no UTF-8
 text exits 2 at the position of its first bad byte, and a point nested
-deeper than the interpreter's stack exits 2 at its statement.  A value
-with more digits than CPython converts to a string by default is still
-reported in full.
+deeper than the interpreter's stack exits 2 at its statement.  A map body
+that chains 1,000 terms or factors evaluates to its value.  A value with
+more digits than CPython converts to a string by default is still reported
+in full.
 """
 
 import decimal
@@ -109,6 +110,26 @@ def test_deep_input_is_a_positional_error(shape, tmp_path, capsys):
     assert code == 2 and out.out == "" and "Traceback" not in out.err
     # a long sum parses, so only the nested shapes name a position here
     assert shape == "long-sum" or out.err.startswith("1:1: ")
+
+
+@pytest.mark.parametrize("body, value", [
+    (" + ".join(["x"] * 1000), "(1000 + 1000·d)"),
+    (" * ".join(["x"] * 1000), "(1 + 1000·d + 499500·d^2)"),
+    # a quotient by a variable keeps the body an expression tree
+    ("(" + " + ".join(["x"] * 1000) + ") / x", "(1000)"),
+], ids=["sum", "product", "quotient"])
+def test_long_chain_in_a_map_body_evaluates(body, value, tmp_path, capsys):
+    """A chain of binary operators leans left, and the walks from a map body
+    to its polynomial or its value fold it in a loop."""
+    path = tmp_path / "chain.weil"
+    path.write_text(
+        "version 1\nblock d vars 1 cap 2\npoint O = (1,)\npoint P = O + (d[1],)\n"
+        f"map f(x) -> 1 {{ {body} }}\ncheck i-morphism f (O; P) k=2\n"
+    )
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("PASS  i-morphism@L6 ")
+    assert main(["eval", str(path), "--expr", "f(P)"]) == 0
+    assert capsys.readouterr() == (value + "\n", "")
 
 
 def test_high_power_evaluates_in_small_time_and_memory(tmp_path, capsys):
