@@ -872,7 +872,7 @@ class _Parser:
         if poly.is_zero():
             self.fail("a nonzero polynomial", start)
         if homogeneous:
-            degs = {sum(m) for m in poly.terms}
+            degs = {sum(m) for m in poly._num}
             if len(degs) != 1:
                 self.fail("a homogeneous polynomial", start)
             if min(degs) < 2:

@@ -29,6 +29,7 @@ identities of an idempotent.  All equalities are exact normal-form equality.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -154,17 +155,21 @@ class BilinearMap:
     u[a] v[b] (+ u[b] v[a] for a < b) in component i.
     """
 
-    __slots__ = ("dim", "entries", "_rows")
+    __slots__ = ("dim", "entries", "_rows", "_square_rows")
 
     def __init__(self, dim: int, entries: dict):
         self.dim = dim
         self.entries = {}
-        # one contraction row per component, over both orders of each pair
+        # one contraction row per component, over both orders of each pair;
+        # for u = v, over a <= b with the entry doubled off the diagonal, so
+        # each product u[a] u[b] is built once
         self._rows = [{} for _ in range(dim)]
+        self._square_rows = [{} for _ in range(dim)]
         for (i, (a, b)), e in entries.items():
             a, b = min(a, b), max(a, b)
             self.entries[(i, (a, b))] = e
             self._rows[i][(a, b)] = self._rows[i][(b, a)] = e
+            self._square_rows[i][(a, b)] = e if a == b else e + e
 
     def entry(self, i: int, a: int, b: int):
         return self.entries.get((i, (a, b) if a <= b else (b, a)))
@@ -173,7 +178,8 @@ class BilinearMap:
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatchError("bilinear map applied to wrong dimension")
         ctx = u.context
-        return PointVec(ctx, tuple(_contract(ctx, self._rows, (u.coords, v.coords))))
+        rows = self._square_rows if u is v or u == v else self._rows
+        return PointVec(ctx, tuple(_contract(ctx, rows, (u.coords, v.coords))))
 
 
 class Connection:
@@ -672,32 +678,40 @@ def check_idempotent_identities(
 
     report.run(f"{name_prefix}/fixed-point", "fixed-point", fixed_point)
 
+    # De and D2e as integers over the lcm of their denominators: J = L·De,
+    # H = L·D2e (all index orders)
+    L = math.lcm(*[q.denominator for l in (1, 2) for q in tensors[l].values()])
+    J = [[q.numerator * (L // q.denominator) for q in row] for row in Jac]
+    H = [[[(q := hess(i, a, b)).numerator * (L // q.denominator) for b in range(n)]
+          for a in range(n)] for i in range(n)]
+
     def jacobian_idempotent():
+        # L²·(De·De - De)
         for i in range(n):
             for a in range(n):
-                got = sum(Jac[i][p] * Jac[p][a] for p in range(n))
-                if got != Jac[i][a]:
-                    return Witness(f"(De·De - De)[{i + 1},{a + 1}]", "1", got - Jac[i][a])
+                got = sum(J[i][p] * J[p][a] for p in range(n)) - L * J[i][a]
+                if got:
+                    return Witness(f"(De·De - De)[{i + 1},{a + 1}]", "1", Fraction(got, L * L))
         return None
 
     report.run(f"{name_prefix}/jacobian-idempotent", "derivative", jacobian_idempotent)
 
     def hessian_splitting():
-        # second derivative of e∘e = e at the fixed point
+        # L³·(D2e[De,De] + De·D2e - D2e), the second derivative of e∘e = e at
+        # the fixed point; the Hessian is contracted with the Jacobian once,
+        # K[i][p][b] = Σ_q H[i][p][q]·J[q][b], skipping zero entries
+        K = [[[sum(h * J[q][b] for q, h in enumerate(H[i][p]) if h) for b in range(n)]
+              for p in range(n)] for i in range(n)]
         for i in range(n):
             for a in range(n):
                 for b in range(a, n):
-                    first = sum(
-                        hess(i, p, q) * Jac[p][a] * Jac[q][b]
-                        for p in range(n)
-                        for q in range(n)
-                    )
-                    second = sum(Jac[i][p] * hess(p, a, b) for p in range(n))
-                    if first + second != hess(i, a, b):
+                    got = sum(J[p][a] * K[i][p][b] for p in range(n)) + L * (
+                        sum(J[i][p] * H[p][a][b] for p in range(n)) - L * H[i][a][b])
+                    if got:
                         return Witness(
                             f"(D2e[De,De] + De·D2e - D2e)[{i + 1},{a + 1},{b + 1}]",
                             "1",
-                            first + second - hess(i, a, b),
+                            Fraction(got, L**3),
                         )
         return None
 

@@ -8,7 +8,11 @@ Two map flavours share one evaluation interface:
   also divide by units and take square roots, evaluated directly in the
   algebra (division and roots stay exact on nilpotent arguments).
 
-A :class:`Poly` adds, multiplies, differentiates and substitutes, but does
+A :class:`Poly` stores its terms as a :class:`~weilaff.weil.WeilElement`
+does, so its arithmetic runs on ints and builds no ``Fraction``.  It shares
+the kernel's helpers for common denominators, lowest terms and linear
+combinations, not its products: a polynomial has no caps or relations.
+It adds, multiplies, differentiates and substitutes, but does
 not evaluate itself: a :class:`PolyMap` keeps each component as a row of
 index tuples with one ``(variable, exponent)`` slot per variable (x0²·x2 is
 ((0, 2), (2, 1))), and :func:`eval_map` evaluates them all in one
@@ -27,6 +31,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import add as _add
 from typing import Callable, Optional, Sequence, Union
 
 from .weil import (
@@ -38,7 +43,10 @@ from .weil import (
     WeilError,
     _as_fraction,
     _contract,
+    _lowest_terms,
+    _over_common_denominator,
     _set_field,
+    _sum_scaled,
     invert,
     make_truncated_context,
 )
@@ -54,37 +62,59 @@ class DimensionMismatchError(WeilError):
 
 
 class Poly:
-    """Sparse polynomial over Q in ``nvars`` variables (exponent-tuple keys)."""
+    """Sparse polynomial over Q in ``nvars`` variables.
 
-    __slots__ = ("nvars", "terms")
+    Integer numerators keyed by exponent tuple over one positive common
+    denominator ``den``, in lowest terms, with zero as ``({}, 1)``: so
+    ``==`` and the hash are equality of polynomials.  ``terms`` reads the
+    coefficients back as Fractions.
+    """
+
+    __slots__ = ("nvars", "_num", "den")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
         cleaned = {}
         for m, c in (terms or {}).items():
             m = tuple(m)
             if len(m) != nvars:
                 raise WeilError("monomial arity does not match variable count")
-            c = _as_fraction(c)
+            if type(c) is not int:
+                c = _as_fraction(c)
             if c:
                 cleaned[m] = cleaned.get(m, 0) + c
-        self.terms = {m: c for m, c in cleaned.items() if c}
+        self.nvars = nvars
+        self._num, self.den = _over_common_denominator(
+            {m: c for m, c in cleaned.items() if c})
+
+    @classmethod
+    def _of(cls, nvars: int, num: dict, den: int) -> "Poly":
+        """``num / den``, from nonzero integer numerators in lowest terms."""
+        p = cls.__new__(cls)
+        p.nvars, p._num, p.den = nvars, num, den
+        return p
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return cls._of(nvars, {}, 1)
 
     @classmethod
     def constant(cls, nvars: int, q: Scalar) -> "Poly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(q)})
+        q = _as_fraction(q)
+        return cls._of(nvars, {(0,) * nvars: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise WeilError(f"variable index {i} out of range")
-        return cls(nvars, {tuple(1 if j == i else 0 for j in range(nvars)): Fraction(1)})
+        return cls._of(nvars, {(0,) * i + (1,) + (0,) * (nvars - 1 - i): 1}, 1)
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict of the coefficients as Fractions, exponent tuple by exponent tuple."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self._num.items()}
 
     # -- ring operations --------------------------------------------------------
 
@@ -97,33 +127,29 @@ class Poly:
             return Poly.constant(self.nvars, other)
         return None
 
+    def _scaled(self, p: int, q: int) -> "Poly":
+        """This polynomial times ``p / q``, ``q`` positive."""
+        num = {m: c * p for m, c in self._num.items()} if p else {}
+        return Poly._of(self.nvars, *_lowest_terms(num, self.den * q))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                del out[m]
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, out
-        return p
+        return Poly._of(self.nvars, *_sum_scaled(
+            [(1, self.den, self._num), (1, other.den, other._num)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, {m: -c for m, c in self.terms.items()}
-        return p
+        return Poly._of(self.nvars, {m: -c for m, c in self._num.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return Poly._of(self.nvars, *_sum_scaled(
+            [(1, self.den, self._num), (-1, other.den, other._num)]))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -131,87 +157,87 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
-            p = Poly.__new__(Poly)
-            p.nvars = self.nvars
-            p.terms = {m: c * q for m, c in self.terms.items()} if q else {}
-            return p
+            return self._scaled(q.numerator, q.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self._num, other._num
+        # a constant factor only scales the other one
+        one = (0,) * self.nvars
+        if len(b) == 1 and one in b:
+            return self._scaled(b[one], other.den)
+        if len(a) == 1 and one in a:
+            return other._scaled(a[one], self.den)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                nc = out.get(key, 0) + c1 * c2
-                if nc:
-                    out[key] = nc
-                else:
-                    del out[key]
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, out
-        return p
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                key = tuple(map(_add, m1, m2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return Poly._of(self.nvars, *_lowest_terms(
+            {m: c for m, c in out.items() if c}, self.den * other.den))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise WeilError("exponent must be a nonnegative integer")
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if not e:
+            return Poly.constant(self.nvars, 1)
+        # left to right over the bits below the leading one: a square for
+        # each, and a product by the base for each set one
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.den == other.den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._num.items()), self.den))
 
     # -- structure ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return self._num.keys() <= {(0,) * self.nvars}
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self._num.get((0,) * self.nvars, 0), self.den)
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to variable ``i``."""
+        # lowering exponent i by one is injective, so no two terms collide
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self._num.items():
             e = m[i]
-            if not e:
-                continue
-            key = m[:i] + (e - 1,) + m[i + 1 :]
-            out[key] = out.get(key, 0) + c * e
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, {m: c for m, c in out.items() if c}
-        return p
+            if e:
+                out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        return Poly._of(self.nvars, *_lowest_terms(out, self.den))
 
     def substitute(self, args: Sequence["Poly"]) -> "Poly":
         """Plug a polynomial in for each variable (simultaneous substitution)."""
         if len(args) != self.nvars:
             raise WeilError("substitution arity mismatch")
         nv = args[0].nvars if args else 0
-        acc = Poly.zero(nv)
-        for m, c in self.terms.items():
-            term = Poly.constant(nv, c)
+        # each term's product of powers, summed with its numerator as the weight
+        scaled = []
+        for m, c in self._num.items():
+            term = Poly.constant(nv, 1)
             for i, e in enumerate(m):
                 if e:
                     term = term * args[i] ** e
-            acc = acc + term
-        return acc
+            scaled.append((c, self.den * term.den, term._num))
+        return Poly._of(nv, *_sum_scaled(scaled))
 
     def format(self, var_names: Sequence[str]) -> str:
         if not self.terms:
@@ -260,7 +286,8 @@ class PolyMap:
         # one contraction row per component, a slot per variable and its
         # exponent: the term x0²·x2 is the tuple ((0, 2), (2, 1))
         self._rows = [
-            {tuple((i, e) for i, e in enumerate(m) if e): c for m, c in p.terms.items()}
+            {tuple((i, e) for i, e in enumerate(m) if e): c if p.den == 1 else Fraction(c, p.den)
+             for m, c in p._num.items()}
             for p in components
         ]
         self._slots = {s for row in self._rows for idx in row for s in idx}

@@ -102,7 +102,7 @@ def random_connection(rng: random.Random, n: int, degree: int = 2) -> Connection
         for a in range(n):
             for b in range(a, n):
                 p = random_poly(rng, n, degree)
-                if p.terms:
+                if not p.is_zero():
                     entries[(i, a, b)] = p
     return Connection(n, entries)
 

@@ -393,7 +393,7 @@ class WeilContext:
             if hits:
                 num, scale = _reduce_at_degree(num, hits)
                 den *= scale
-        return _canonical(self, num, den)
+        return WeilElement(self, *_lowest_terms(num, den))
 
     def _degree_basis(self, degree: int) -> dict:
         """RREF basis of span{relation * monomial} in the given graded slot,
@@ -515,8 +515,9 @@ class WeilContext:
         return "·".join(parts) if parts else "1"
 
 
-def _over_common_denominator(terms: Mapping[Monomial, Fraction]) -> tuple:
-    """``(num, den)``: integer numerators over the least common denominator."""
+def _over_common_denominator(terms: Mapping[Monomial, Scalar]) -> tuple:
+    """``(num, den)`` in lowest terms: integer numerators of nonzero ints or
+    Fractions over the least common denominator."""
     den = math.lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
@@ -554,41 +555,46 @@ def _reduce_at_degree(vec: dict, hits: list) -> tuple:
     return out, scale
 
 
-def _canonical(ctx: WeilContext, num: dict, den: int) -> "WeilElement":
-    """``num / den`` with the common factor of ``den`` and every numerator removed."""
+def _lowest_terms(num: dict, den: int) -> tuple:
+    """``(num, den)`` with the common factor of ``den`` and every numerator removed."""
     if den != 1:
         g = math.gcd(den, *num.values())
         if g != 1:
             den //= g
             num = {m: c // g for m, c in num.items()}
-    return WeilElement(ctx, num, den)
+    return num, den
 
 
-def _lincomb(ctx: WeilContext, pairs: Iterable) -> "WeilElement":
-    """The sum of ``q * x`` over ``(scalar, element)`` pairs of ``ctx``: one
-    common denominator, one pass of integer adds, lowest terms once.  A
-    scalar is a rational or a constant element."""
-    scaled = []
-    den = 1
-    for q, x in pairs:
-        if x.context is not ctx and x.context != ctx:
-            raise ContextMismatchError("elements belong to different contexts")
-        if q and x._num:
-            if type(q) is int:
-                p, d = q, x.den
-            elif type(q) is WeilElement:
-                p, d = q._num.get(0, 0), q.den * x.den
-            else:
-                q = _as_fraction(q)
-                p, d = q.numerator, q.denominator * x.den
-            scaled.append((p, d, x._num))
-            den = math.lcm(den, d)
+def _sum_scaled(scaled: Sequence) -> tuple:
+    """``(num, den)`` in lowest terms: the sum of ``(p / d) * num`` over
+    ``(p, d, num)`` triples of integers ``p``, positive integers ``d`` and
+    integer numerator dicts, on any keys.  One common denominator, one pass
+    of integer adds, lowest terms once."""
+    den = math.lcm(*[d for _, d, _ in scaled])
     out = {}
     for p, d, num in scaled:
         f = p * (den // d)
         for m, c in num.items():
             out[m] = out.get(m, 0) + c * f
-    return _canonical(ctx, {m: c for m, c in out.items() if c}, den)
+    return _lowest_terms({m: c for m, c in out.items() if c}, den)
+
+
+def _lincomb(ctx: WeilContext, pairs: Iterable) -> "WeilElement":
+    """The sum of ``q * x`` over ``(scalar, element)`` pairs of ``ctx``, by
+    :func:`_sum_scaled`.  A scalar is a rational or a constant element."""
+    scaled = []
+    for q, x in pairs:
+        if x.context is not ctx and x.context != ctx:
+            raise ContextMismatchError("elements belong to different contexts")
+        if q and x._num:
+            if type(q) is int:
+                scaled.append((q, x.den, x._num))
+            elif type(q) is WeilElement:
+                scaled.append((q._num.get(0, 0), q.den * x.den, x._num))
+            else:
+                q = _as_fraction(q)
+                scaled.append((q.numerator, q.denominator * x.den, x._num))
+    return WeilElement(ctx, *_sum_scaled(scaled))
 
 
 def _contract(ctx: WeilContext, rows: Sequence[Mapping], vectors: Sequence[Sequence]) -> list:
@@ -752,7 +758,8 @@ class WeilElement:
         """This element times ``p / q``."""
         if not p:
             return self.context.zero()
-        return _canonical(self.context, {m: c * p for m, c in self._num.items()}, self.den * q)
+        return WeilElement(self.context, *_lowest_terms(
+            {m: c * p for m, c in self._num.items()}, self.den * q))
 
     @property
     def num(self) -> dict:
@@ -810,7 +817,7 @@ class WeilElement:
                 out[m] = nc
             else:
                 del out[m]
-        return _canonical(self.context, out, da)
+        return WeilElement(self.context, *_lowest_terms(out, da))
 
     __radd__ = __add__
 
@@ -946,21 +953,25 @@ def invert(x: WeilElement) -> WeilElement:
     """Multiplicative inverse; requires a nonzero constant term.
 
     Uses the finite geometric series 1/(c+n) = sum_i (-1)^i n^i / c^(i+1),
-    which terminates because the nilpotent part n dies past the degree cap.
+    which terminates because the nilpotent part n dies past the degree cap:
+    one product per power of n, the rational factors as weights of one
+    :func:`_lincomb`.
     """
     c = x.constant_term
     if not c:
         raise NonInvertibleError("constant term is zero; element is not a unit")
+    ctx = x.context
     n = x.nilpotent_part()
-    inv_c = 1 / c
-    term = x.context.scalar(inv_c)
-    terms = [(1, term)]
-    for _ in range(x.context.max_degree):
-        term = term * n * (-inv_c)
-        if term.is_zero():
+    powers = [ctx.one(), n]
+    for _ in range(ctx.max_degree - 1):
+        p = powers[-1] * n
+        if p.is_zero():
             break
-        terms.append((1, term))
-    return _lincomb(x.context, terms)
+        powers.append(p)
+    weights = [1 / c]
+    for _ in powers[1:]:
+        weights.append(-weights[-1] * weights[0])
+    return _lincomb(ctx, zip(weights, powers))
 
 
 def _rational_sqrt(q: Fraction) -> Fraction:
@@ -1032,9 +1043,10 @@ def mat_inverse(M) -> list:
     """Inverse of a square matrix of elements over one context.
 
     Splits M = C + N with C the rational constant part and N nilpotent, then
-    expands M^{-1} = (sum_i (-C^{-1} N)^i) C^{-1}; the series terminates at
-    the context's degree cap.  Raises :class:`SingularMatrixError` when C is
-    singular over Q.
+    expands M^{-1} = (sum_i B^i) C^{-1} with B = -C^{-1} N; the series
+    terminates at the context's degree cap.  Only the powers B^2, B^3, ...
+    take products; C^{-1} enters as rational weights.  Raises
+    :class:`SingularMatrixError` when C is singular over Q.
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -1051,16 +1063,19 @@ def mat_inverse(M) -> list:
         [_lincomb(ctx, ((-Cinv[i][t], N[t][j]) for t in range(n))) for j in range(n)]
         for i in range(n)
     ]
-    ident = [[ctx.scalar(int(i == j)) for j in range(n)] for i in range(n)]
-    acc = [row[:] for row in ident]
-    term = ident
-    for _ in range(ctx.max_degree):
+    # S = B + B^2 + ..., then M^{-1} = C^{-1} + S C^{-1}
+    S = term = B
+    for _ in range(ctx.max_degree - 1):
         term = mat_mul(term, B)
         if all(e.is_zero() for row in term for e in row):
             break
-        acc = [[a + t for a, t in zip(ar, tr)] for ar, tr in zip(acc, term)]
-    scaled = [[ctx.scalar(q) for q in row] for row in Cinv]
-    return mat_mul(acc, scaled)
+        S = [[a + t for a, t in zip(ar, tr)] for ar, tr in zip(S, term)]
+    one = ctx.one()
+    return [
+        [_lincomb(ctx, [(Cinv[i][j], one)] + [(Cinv[t][j], S[i][t]) for t in range(n)])
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 class PointVec:

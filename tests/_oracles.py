@@ -239,6 +239,121 @@ def connection_combine(G, weights: Sequence[Fraction], points: Sequence) -> obje
     return s + Fraction(1, 2) * corr
 
 
+# -- Fraction polynomial arithmetic (the dict-of-Fractions Poly it replaced) ----------
+
+
+def poly_clean(nvars: int, terms: Mapping) -> Dense:
+    """Coefficients merged as Fractions, zeros dropped, keys as tuples."""
+    out: Dense = {}
+    for m, c in terms.items():
+        m = tuple(m)
+        assert len(m) == nvars
+        out[m] = out.get(m, Fraction(0)) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_add(a: Mapping[Mono, Fraction], b: Mapping[Mono, Fraction]) -> Dense:
+    return dense_add(a, b)
+
+
+def poly_scale(a: Mapping[Mono, Fraction], q) -> Dense:
+    return dense_scale(a, Fraction(q))
+
+
+def poly_mul(a: Mapping[Mono, Fraction], b: Mapping[Mono, Fraction]) -> Dense:
+    out: Dense = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_pow(a: Mapping[Mono, Fraction], e: int, nvars: int) -> Dense:
+    out: Dense = {(0,) * nvars: Fraction(1)}
+    for _ in range(e):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_diff(a: Mapping[Mono, Fraction], i: int) -> Dense:
+    out: Dense = {}
+    for m, c in a.items():
+        if m[i]:
+            key = m[:i] + (m[i] - 1,) + m[i + 1:]
+            out[key] = out.get(key, Fraction(0)) + c * m[i]
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_substitute(a: Mapping[Mono, Fraction], args: Sequence[Dense], nvars: int) -> Dense:
+    """Plug ``args[i]`` in for variable i, term by term."""
+    out: Dense = {}
+    for m, c in a.items():
+        term: Dense = {(0,) * nvars: c}
+        for i, e in enumerate(m):
+            term = poly_mul(term, poly_pow(args[i], e, nvars))
+        out = poly_add(out, term)
+    return out
+
+
+def expr_poly(node, nvars: int):
+    """The polynomial of an expression tree, or None where it divides by a
+    non-constant or takes a root.  Reads the nodes by class name and field,
+    recursively: ``Const.value``, ``Var.index``, ``left``/``right``,
+    ``operand``, ``base``/``exponent``."""
+    kind = type(node).__name__
+    one = (0,) * nvars
+    if kind == "Const":
+        return poly_clean(nvars, {one: node.value})
+    if kind == "Var":
+        return {tuple(int(j == node.index) for j in range(nvars)): Fraction(1)}
+    if kind in ("Add", "Sub", "Mul", "Div"):
+        a, b = expr_poly(node.left, nvars), expr_poly(node.right, nvars)
+        if a is None or b is None:
+            return None
+        if kind == "Add":
+            return poly_add(a, b)
+        if kind == "Sub":
+            return poly_add(a, poly_scale(b, -1))
+        if kind == "Mul":
+            return poly_mul(a, b)
+        if set(b) != {one}:
+            return None
+        return poly_scale(a, 1 / b[one])
+    if kind == "Neg":
+        a = expr_poly(node.operand, nvars)
+        return None if a is None else poly_scale(a, -1)
+    if kind == "Power":
+        a = expr_poly(node.base, nvars)
+        return None if a is None else poly_pow(a, node.exponent, nvars)
+    if kind == "Sqrt":
+        return None
+    raise TypeError(kind)
+
+
+def derivative_identity_witnesses(J, H) -> dict:
+    """The first failing index and value of De·De = De and of
+    D2e[De,De] + De·D2e = D2e, by their direct Fraction sums (None where
+    they hold), with ``J[i][a]`` and ``H[i][a][b]`` the first and second
+    partials at a fixed point."""
+    n = len(J)
+    out = {"jacobian-idempotent": None, "hessian-splitting": None}
+    for i, a in itertools.product(range(n), repeat=2):
+        d = sum((J[i][p] * J[p][a] for p in range(n)), Fraction(0)) - J[i][a]
+        if d:
+            out["jacobian-idempotent"] = ((i, a), d)
+            break
+    for i, a in itertools.product(range(n), repeat=2):
+        for b in range(a, n):
+            d = sum((H[i][p][q] * J[p][a] * J[q][b] for p in range(n) for q in range(n)),
+                    Fraction(0))
+            d += sum((J[i][p] * H[p][a][b] for p in range(n)), Fraction(0)) - H[i][a][b]
+            if d:
+                out["hessian-splitting"] = ((i, a, b), d)
+                return out
+    return out
+
+
 def as_dense(element) -> Dense:
     """Coefficient dict of a WeilElement (plain data, no behavior)."""
     return dict(element.coeffs)

@@ -14,7 +14,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import connection_combine as direct_combine, monomials_up_to
+from _oracles import (
+    connection_combine as direct_combine,
+    contract,
+    derivative_identity_witnesses,
+    monomials_up_to,
+)
 
 from weilaff import (
     Add,
@@ -181,6 +186,34 @@ def test_bilinear_map_apply_is_symmetric(data):
     point = st.lists(_elements(SYM_CTX), min_size=n, max_size=n).map(lambda c: PointVec(SYM_CTX, c))
     u, v = data.draw(point), data.draw(point)
     assert G.apply(u, v) == G.apply(v, u)
+    # the same point, as one object and as an equal copy, against the
+    # contraction over both orders of each pair
+    rows = [{} for _ in range(n)]
+    for (i, (a, b)), e in G.entries.items():
+        rows[i][(a, b)] = rows[i][(b, a)] = e
+    want = PointVec(SYM_CTX, contract(SYM_CTX.zero(), SYM_CTX.one(), rows, (u.coords, u.coords)))
+    assert G.apply(u, u) == G.apply(u, PointVec(SYM_CTX, u.coords)) == want
+
+
+def test_bilinear_map_builds_each_coordinate_product_once_on_one_point(monkeypatch):
+    # the n = 4, t = 5 connection cell's context, a dense difference D and
+    # 40 entries that are not constant: apply(D, D) builds the 10 products
+    # D[a] D[b] with a <= b and scales each by its entry, 10 + 40 products
+    # (16 + 64 over both orders)
+    n = 4
+    _, pts = generic_Ak_tuple(n, 2, 5, base=(1, -2, 0, 3))
+    D = pts[2] - pts[0]
+    ctx = D.context
+    g = ctx.gens()
+    entries = {(i, (a, b)): ctx.one() + g[i + a + b] * (i - b or 5)
+               for i in range(n) for a in range(n) for b in range(a, n)}
+    G = BilinearMap(n, entries)
+    want = contract(ctx.zero(), ctx.one(), G._rows, (D.coords, D.coords))
+    counts = collections.Counter()
+    _counting(monkeypatch, counts, WeilElement, "__mul__")
+    got = G.apply(D, D)
+    assert counts["__mul__"] == 10 + 40
+    assert got.coords == tuple(want)
 
 
 @pytest.mark.parametrize("moved", [False, True])
@@ -770,6 +803,63 @@ def test_idempotent_identities_flag_moving_point():
     by_name = {e.name.split("/")[-1]: e for e in rep.entries}
     assert by_name["fixed-point"].status == "fail"
     assert by_name["fixed-point"].witness["coefficient"] == "-1"
+
+
+@pytest.mark.parametrize("components, base, jacobian, hessian", [
+    # e(x) = x + x^2 fixes 0 with De = 1, but D2e[De,De] + De·D2e - D2e = 2
+    (lambda x: [x + x * x], (0,), None, ("[1,1,1]", "2")),
+    # e(x) = x/2 + x^2/3: De·De - De = -1/4, and 1/6 + 1/3 - 2/3 = -1/6
+    (lambda x: [x * Fraction(1, 2) + x * x * Fraction(1, 3)], (0,),
+     ("[1,1]", "-1/4"), ("[1,1,1]", "-1/6")),
+    # every entry of the first component cancels, (x, y) mixed included; the
+    # second fails at (1,1): -3/2 · 1/4 + 1 · (-3/2) + 3/2
+    (lambda x, y: [x * Fraction(1, 2) + x * y * Fraction(1, 3),
+                   y + x * x * Fraction(-3, 4) + y * y], (0, 0),
+     ("[1,1]", "-1/4"), ("[2,1,1]", "-3/8")),
+])
+def test_idempotent_identities_pin_the_derivative_witnesses(components, base, jacobian, hessian):
+    n = len(base)
+    e = PolyMap(n, n, components(*[Poly.variable(n, i) for i in range(n)]))
+    rep = check_idempotent_identities(RetractPair.from_idempotent(e), base)
+    by_name = {entry.name.split("/")[-1]: entry for entry in rep.entries}
+    assert by_name["fixed-point"].status == "pass"
+    for name, label, want in (("jacobian-idempotent", "De·De - De", jacobian),
+                              ("hessian-splitting", "D2e[De,De] + De·D2e - D2e", hessian)):
+        if want is None:
+            assert by_name[name].status == "pass"
+        else:
+            assert by_name[name].status == "fail"
+            assert by_name[name].witness == {
+                "location": f"({label}){want[0]}", "monomial": "1", "coefficient": want[1],
+            }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_idempotent_identities_match_the_direct_sums(data):
+    # quadratic maps at 0, where De and D2e are read off the coefficients;
+    # the oracle sums H[i][p][q]·De[p][a]·De[q][b] over p and q for every entry
+    n = data.draw(st.integers(1, 3))
+    monos = [m for m in itertools.product(range(3), repeat=n) if 1 <= sum(m) <= 2]
+    coef = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(1, 3)])
+    comps = [Poly(n, data.draw(st.dictionaries(st.sampled_from(monos), coef, max_size=4)))
+             for _ in range(n)]
+    J = [[p.diff(a).constant_value() for a in range(n)] for p in comps]
+    H = [[[p.diff(a).diff(b).constant_value() for b in range(n)] for a in range(n)] for p in comps]
+    want = derivative_identity_witnesses(J, H)
+    rep = check_idempotent_identities(RetractPair.from_idempotent(PolyMap(n, n, comps)), (0,) * n)
+    by_name = {entry.name.split("/")[-1]: entry for entry in rep.entries}
+    for name, label in (("jacobian-idempotent", "De·De - De"),
+                        ("hessian-splitting", "D2e[De,De] + De·D2e - D2e")):
+        if want[name] is None:
+            assert by_name[name].status == "pass"
+        else:
+            index, value = want[name]
+            assert by_name[name].witness == {
+                "location": f"({label})[{','.join(str(k + 1) for k in index)}]",
+                "monomial": "1",
+                "coefficient": str(value),
+            }
 
 
 def test_idempotent_identities_flag_tangential_curvature():

@@ -1,6 +1,7 @@
 """Polynomial/expression maps: evaluation, composition, derivatives, Taylor."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,14 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from weilaff import (
     Add,
+    Const,
     Div,
     DimensionMismatchError,
     ExprMap,
     Mul,
+    Neg,
     Poly,
     PolyMap,
     PointVec,
+    Power,
     Sqrt,
+    Sub,
     Var,
     WeilError,
     compose,
@@ -29,7 +34,21 @@ from weilaff import (
     taylor_eval,
 )
 
-from _oracles import as_dense, dense_add, dense_mul, dense_pow, dense_scale
+from _oracles import (
+    as_dense,
+    dense_add,
+    dense_mul,
+    dense_pow,
+    dense_scale,
+    expr_poly,
+    poly_add,
+    poly_clean,
+    poly_diff,
+    poly_mul,
+    poly_pow,
+    poly_scale,
+    poly_substitute,
+)
 
 
 def square() -> PolyMap:
@@ -97,6 +116,127 @@ def test_eval_dimension_mismatch():
     c = make_truncated_context([])
     with pytest.raises((DimensionMismatchError, WeilError)):
         eval_map(square(), c.point((1, 2)))
+
+
+# -- integer numerators ------------------------------------------------------------------
+
+# ints and Fractions of mixed denominators; small exponents and signs, so
+# sums and products often cancel
+_COEF = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+def _terms(n):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), _COEF, max_size=4)
+
+
+def _assert_stored(p, want):
+    """``p`` reads back as the oracle's dict, from int numerators in lowest terms."""
+    assert p.terms == want
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(type(c) is int and c for c in p._num.values())
+    assert type(p.den) is int and p.den > 0 and math.gcd(p.den, *p._num.values()) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_integer_poly_matches_the_fraction_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    ta, tb = data.draw(_terms(n)), data.draw(_terms(n))
+    a, b = Poly(n, ta), Poly(n, tb)
+    A, B = poly_clean(n, ta), poly_clean(n, tb)
+    q = data.draw(_COEF)
+    e = data.draw(st.integers(0, 4))
+    i = data.draw(st.integers(0, n - 1))
+    m = data.draw(st.integers(1, 3))
+    targs = [data.draw(_terms(m)) for _ in range(n)]
+    cases = [
+        (a, A),
+        (a + b, poly_add(A, B)),
+        (a - b, poly_add(A, poly_scale(B, -1))),
+        (a - a, {}),
+        (a + q, poly_add(A, poly_clean(n, {(0,) * n: q}))),
+        (q - a, poly_add(poly_clean(n, {(0,) * n: q}), poly_scale(A, -1))),
+        (-a, poly_scale(A, -1)),
+        (a * b, poly_mul(A, B)),
+        (a * q, poly_scale(A, q)),
+        (q * a, poly_scale(A, q)),
+        (a * Poly.constant(n, q), poly_scale(A, q)),
+        (Poly.constant(n, q) * a, poly_scale(A, q)),
+        (a**e, poly_pow(A, e, n)),
+        (a.diff(i), poly_diff(A, i)),
+        (a.substitute([Poly(m, t) for t in targs]),
+         poly_substitute(A, [poly_clean(m, t) for t in targs], m)),
+    ]
+    for got, want in cases:
+        _assert_stored(got, want)
+    assert (a == b) == (A == B)
+
+
+def _exprs(n):
+    leaves = st.one_of(
+        st.builds(Const, st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+        st.builds(Var, st.integers(0, n - 1)),
+    )
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Add, kids, kids),
+        st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids),
+        st.builds(Div, kids, kids),
+        st.builds(Neg, kids),
+        st.builds(Power, kids, st.integers(0, 3)),
+        st.builds(Sqrt, kids),
+    ), max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_expr_to_poly_matches_the_fraction_oracle(data):
+    # Div by a constant (zero included) and by a non-constant, Sqrt, Neg and
+    # powers, over trees that often cancel
+    n = data.draw(st.integers(1, 3))
+    tree = data.draw(_exprs(n))
+    try:
+        want = expr_poly(tree, n)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            expr_to_poly(tree, n)
+        return
+    got = expr_to_poly(tree, n)
+    if want is None:
+        assert got is None
+    else:
+        _assert_stored(got, want)
+
+
+def test_two_presentations_of_one_poly_are_equal_and_hash_equal():
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    presentations = [
+        Poly(2, {(1, 0): Fraction(2, 4), (0, 1): 3}),
+        Poly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)}),
+        Poly(2, {(1, 0): Fraction(3, 6), (0, 1): Fraction(6, 2)}),
+        x * Fraction(1, 2) + y * 3,
+        (x + y * 6) * Fraction(1, 2),
+        (x * 2 + y * 6) * Fraction(1, 4) + y * Fraction(3, 2),
+    ]
+    for p in presentations:
+        assert p == presentations[0] and hash(p) == hash(presentations[0])
+        assert (p._num, p.den) == ({(1, 0): 1, (0, 1): 6}, 2)
+    assert len(set(presentations)) == 1
+    assert Poly(2, {(0, 0): Fraction(4, 2)}) == Poly.constant(2, 2) != Poly.constant(1, 2)
+    assert Poly(2, {(1, 0): 1, (0, 1): 0}) - x == Poly.zero(2) == Poly(2, {(0, 0): 0})
+    assert (Poly.zero(2)._num, Poly.zero(2).den) == ({}, 1)
+
+
+def test_poly_rejects_inexact_and_misshapen_terms():
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): 0.5})
+    with pytest.raises(WeilError):
+        Poly(2, {(1,): 1})
+    with pytest.raises(WeilError):
+        Poly.variable(2, 1).substitute([Poly.variable(1, 0), Poly.variable(2, 0)])
 
 
 # -- composition -----------------------------------------------------------------------

@@ -258,6 +258,28 @@ def test_mat_inverse_weil_and_round_trip():
     assert ident == [[c.one(), c.zero()], [c.zero(), c.one()]]
 
 
+def test_mat_inverse_builds_no_product_with_a_constant(monkeypatch):
+    # a dense 3x3 matrix over cap 2: B = -C^-1 N has no constant part, so
+    # B^3 vanishes and the series needs B^2 alone, 27 products; C^-1 enters
+    # as weights
+    c = make_truncated_context([("d", 3, 2)])
+    rng = random.Random(5)
+    d = c.gens()
+    M = [[c.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) + 3 * (i == j))
+          + sum((d[k] * Fraction(rng.randint(1, 4), rng.randint(1, 3)) for k in range(3)),
+                c.zero())
+          + d[i] * d[j] * rng.randint(-2, 2)
+          for j in range(3)] for i in range(3)]
+    calls = []
+    mul = WeilElement.__mul__
+    monkeypatch.setattr(WeilElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    inv = mat_inverse(M)
+    assert len(calls) == 27
+    monkeypatch.undo()
+    ident = [[c.scalar(int(i == j)) for j in range(3)] for i in range(3)]
+    assert mat_mul(M, inv) == ident and mat_mul(inv, M) == ident
+
+
 def test_mat_inverse_singular_rejected():
     c = ctx1()
     M = [[c.one(), c.one()], [c.one(), c.one()]]
