@@ -35,6 +35,7 @@ is a ParseError at its line and column.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -268,6 +269,12 @@ class _Sym:
         self.b = b  # out_dim / dim / ambient_dim
 
 
+# The most basis monomials the blocks of one file may give its algebra: a
+# dense product at this size takes about a second with three generators and
+# about ten with one (README, "Scenario files")
+_MAX_DIMENSION = 10_000
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
@@ -276,6 +283,7 @@ class _Parser:
         self.symbols: dict = {}
         self.scope: Optional[_Scope] = None  # set while a scalar body is read
         self.calls = False  # map calls: only in ``eval --expr`` strings
+        self.dimension = 1  # of the algebra of the blocks declared so far
 
     # token plumbing
 
@@ -378,7 +386,15 @@ class _Parser:
         self.expect_word("vars")
         nvars = self.positive_int("vars >= 1")
         self.expect_word("cap")
+        cap_tok = self.tok
         cap = self.positive_int("cap >= 1")
+        # the block has C(vars + cap, cap) > max(vars, cap) basis monomials,
+        # so a larger value is over the budget before math.comb runs
+        self.dimension *= (math.comb(nvars + cap, cap) if max(nvars, cap) < _MAX_DIMENSION
+                           else _MAX_DIMENSION + 1)
+        if self.dimension > _MAX_DIMENSION:
+            self.fail(f"a cap within the dimension budget ({_MAX_DIMENSION:,} basis monomials"
+                      " over all blocks)", cap_tok)
         self.declare(name_tok, _Sym("block", nvars))
         return BlockDecl(name_tok.value, nvars, cap, line)
 

@@ -722,7 +722,10 @@ def check_idempotent_identities(
     P = ctx.point(base)
     X = P + PointVec(ctx, tuple(ctx.gens()))
 
-    hess_rows = [{(a, b): hess(p, a, b) for a in range(n) for b in range(n)} for p in range(n)]
+    # over a <= b with the entry doubled off the diagonal, so each product
+    # v[a]·v[b] is built once
+    hess_rows = [{(a, b): hess(p, a, b) * (1 if a == b else 2)
+                  for a in range(n) for b in range(a, n)} for p in range(n)]
     jac_rows = [{(p,): Jac[i][p] for p in range(n)} for i in range(n)]
 
     def tangential_kill():

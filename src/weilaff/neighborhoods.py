@@ -15,25 +15,34 @@ Each predicate has a ``find_*_violation`` twin returning a :class:`Witness`
 (which product survived, with its leading monomial and coefficient), and a
 ``generic_*`` constructor building the freest model of the condition, so that
 an identity checked on the generic model holds in every model.
+
+A generic model's presentation (generator names, block and cleaned
+relations) depends only on its shape, so the symmetric-only models build it
+once per shape and keep it for the life of the process; the context itself
+is interned as any other (:mod:`weilaff.weil`), so it lives only while
+something holds it.  The points of every generic tuple come from one helper:
+P1 is the base, and P_{j+1} adds the j-th slice of n generators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .weil import (
-    Monomial,
+    Block,
     PointVec,
     Record,
     WeilContext,
     WeilElement,
     WeilError,
     _as_fraction,
+    _clean_relations,
     _contract,
     _decimal,
-    make_quotient_context,
+    _intern,
     make_truncated_context,
 )
 
@@ -306,6 +315,16 @@ def _lift_base(base, n: int) -> list:
     return base
 
 
+def _generic_points(ctx: WeilContext, base: list, m: int) -> list:
+    """P1 = base, and P_{j+1} = base + the j-th slice of n generators."""
+    n, gens = len(base), ctx.gens()
+    pts = [ctx.point(base)]
+    origin = pts[0].coords
+    for j in range(m - 1):
+        pts.append(PointVec(ctx, tuple([origin[a] + gens[j * n + a] for a in range(n)])))
+    return pts
+
+
 def generic_Ak_tuple(n: int, k: int, m: int, base=None):
     """Freest m-tuple that is a k-th order i-tuple in R^n.
 
@@ -316,17 +335,8 @@ def generic_Ak_tuple(n: int, k: int, m: int, base=None):
     """
     if m < 1:
         raise WeilError("tuple size must be at least 1")
-    if m == 1:
-        ctx = make_truncated_context([])
-        base = _lift_base(base, n)
-        return ctx, [ctx.point(base)]
-    ctx = make_truncated_context([("u", n * (m - 1), k)])
-    base = _lift_base(base, n)
-    pts = [ctx.point(base)]
-    for j in range(m - 1):
-        coords = [ctx.scalar(base[a]) + ctx.gen(j * n + a) for a in range(n)]
-        pts.append(PointVec(ctx, tuple(coords)))
-    return ctx, pts
+    ctx = make_truncated_context([("u", n * (m - 1), k)] if m > 1 else [])
+    return ctx, _generic_points(ctx, _lift_base(base, n), m)
 
 
 def generic_nilsquare_tuple(n: int, m: int, base=None, degree_cap=None):
@@ -340,6 +350,26 @@ def generic_nilsquare_tuple(n: int, m: int, base=None, degree_cap=None):
     order-(m-1) products the nil-square Remark is about.
     """
     return generic_symmetric_Ak_tuple(n, 1, m, base, m if degree_cap is None else degree_cap)
+
+
+@functools.cache
+def _symmetric_presentation(n: int, k: int, m: int, degree_cap: int) -> tuple:
+    """The names, block and cleaned relations of the symmetric-only model:
+    built once per shape, so a model built again only interns them."""
+    ngens = n * (m - 1)
+    names = tuple(f"u{j + 2}_{a + 1}" for j in range(m - 1) for a in range(n))
+    relations = []
+    for W in itertools.combinations_with_replacement(range(m - 1), k + 1):
+        for M in itertools.combinations_with_replacement(range(n), k + 1):
+            rel = {}
+            for arrangement in set(itertools.permutations(M)):
+                exps = [0] * ngens
+                for w, b in zip(W, arrangement):
+                    exps[w * n + b] += 1
+                key = tuple(exps)
+                rel[key] = rel.get(key, 0) + 1
+            relations.append(rel)
+    return names, (Block("", 0, ngens, degree_cap),), _clean_relations(relations, ngens)
 
 
 def generic_symmetric_Ak_tuple(n: int, k: int, m: int, base=None, degree_cap=None):
@@ -359,32 +389,7 @@ def generic_symmetric_Ak_tuple(n: int, k: int, m: int, base=None, degree_cap=Non
         raise WeilError("order k must be at least 1")
     if degree_cap is None:
         degree_cap = 2 * (k + 1)
-    ngens = n * (m - 1)
-    names = [f"u{j + 2}_{a + 1}" for j in range(m - 1) for a in range(n)]
-
-    def gi(j: int, a: int) -> int:
-        return j * n + a
-
-    def mono(pairs) -> Monomial:
-        exps = [0] * ngens
-        for idx in pairs:
-            exps[idx] += 1
-        return tuple(exps)
-
-    relations = []
-    for W in itertools.combinations_with_replacement(range(m - 1), k + 1):
-        for M in itertools.combinations_with_replacement(range(n), k + 1):
-            rel = {}
-            for arrangement in set(itertools.permutations(M)):
-                key = mono([gi(w, b) for w, b in zip(W, arrangement)])
-                rel[key] = rel.get(key, 0) + 1
-            rel = {mk: c for mk, c in rel.items() if c}
-            if rel:
-                relations.append(rel)
-    ctx = make_quotient_context(names, relations, degree_cap)
-    base = _lift_base(base, n)
-    pts = [ctx.point(base)]
-    for j in range(m - 1):
-        coords = [ctx.scalar(base[a]) + ctx.gen(gi(j, a)) for a in range(n)]
-        pts.append(PointVec(ctx, tuple(coords)))
-    return ctx, pts
+    if degree_cap < 0:
+        raise WeilError("degree cap must be nonnegative")
+    ctx = _intern(*_symmetric_presentation(n, k, m, degree_cap))
+    return ctx, _generic_points(ctx, _lift_base(base, n), m)

@@ -53,8 +53,8 @@ Contexts are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): both makers return the live context of an equal
 presentation (the same names, blocks with their labels, and cleaned
 relations) when one exists, so every model built alike shares one object,
-and with it the relation bases, the packed relations and the ideal key,
-built once while anyone holds it.  The table holds its contexts weakly: a
+and with it the relation bases, the packed relations, the generators and
+the ideal key, built once while anyone holds it.  The table holds its contexts weakly: a
 context nobody holds is collected with everything it built.  Two
 presentations of one ideal stay two objects that compare equal.
 """
@@ -184,9 +184,12 @@ class WeilContext:
     relations span the same ideal modulo the caps, however they are listed.
 
     A context is immutable apart from lazy caches that are filled
-    idempotently (the relation bases and the ideal key) or only ever lowered
+    idempotently (the relation bases, the ideal key and the generators'
+    normal forms, kept as numerators and denominator) or only ever lowered
     (the known top degree), so one context is safely shared by everything
-    built on an equal presentation.  Do not call directly; use
+    built on an equal presentation.  No cache holds an element: an element
+    points back at its context, so a context holding one would be freed only
+    by the cyclic collector.  Do not call directly; use
     :func:`make_truncated_context` or :func:`make_quotient_context`, which
     return the live equal context when there is one.
     """
@@ -194,7 +197,7 @@ class WeilContext:
     __slots__ = (
         "names", "blocks", "relations", "degree_cap", "_binding", "_sig",
         "_mask", "_offsets", "_units", "_dshift", "_bias", "_guard", "_rels",
-        "_bases", "_ideal", "_top", "__weakref__",
+        "_bases", "_ideal", "_top", "_gens", "__weakref__",
     )
 
     def __init__(self, names: tuple, blocks: tuple, relations: tuple):
@@ -240,6 +243,7 @@ class WeilContext:
         # the identical value, so a race merely duplicates work)
         self._bases = {}
         self._ideal = None
+        self._gens = None
         # every degree above this one vanishes; it drops when a basis turns
         # out full and never rises, so any value it has held is a valid bound
         # and a race merely costs work
@@ -331,14 +335,24 @@ class WeilContext:
     def gen(self, i: int) -> "WeilElement":
         if not 0 <= i < self.ngens:
             raise IndexError(f"generator index {i} out of range")
-        mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-        # a cap of 0 kills a generator, and a linear relation may reduce it
-        if self.monomial_is_zero(mono):
-            return self.zero()
-        return self._normal_form({self._units[i]: 1}, 1)
+        return WeilElement(self, *self._generators()[i])
 
     def gens(self) -> list:
-        return [self.gen(i) for i in range(self.ngens)]
+        return [WeilElement(self, num, den) for num, den in self._generators()]
+
+    def _generators(self) -> tuple:
+        """Each generator's normal form as ``(numerators, denominator)``,
+        built once.  Not the elements: each points back at this context, and
+        a context holding them would live until the cyclic collector ran."""
+        if self._gens is None:
+            gens = []
+            for i, unit in enumerate(self._units):
+                # a cap of 0 kills a generator, and a linear relation may reduce it
+                mono = tuple(1 if j == i else 0 for j in range(self.ngens))
+                x = self.zero() if self.monomial_is_zero(mono) else self._normal_form({unit: 1}, 1)
+                gens.append((x._num, x.den))
+            self._gens = tuple(gens)
+        return self._gens
 
     def element(self, raw: Mapping[Monomial, Scalar]) -> "WeilElement":
         terms = {}

@@ -160,6 +160,32 @@ def nilsquare_relations(n: int, m: int, ngens: int = 0, offset: int = 0) -> List
     return rels
 
 
+def symmetric_relations(n: int, k: int, m: int) -> List[Dense]:
+    """The symmetric-only model's relations, built by its original loop: for
+    each multiset W of k+1 point slots and each multiset M of k+1
+    coordinates, the sum over the distinct arrangements b of M of the
+    monomial prod_l u[W_l, b_l].  Generator u[j,a] sits at (j-2)*n + (a-1)."""
+    ngens = n * (m - 1)
+
+    def mono(idx) -> Mono:
+        exps = [0] * ngens
+        for i in idx:
+            exps[i] += 1
+        return tuple(exps)
+
+    rels = []
+    for W in itertools.combinations_with_replacement(range(m - 1), k + 1):
+        for M in itertools.combinations_with_replacement(range(n), k + 1):
+            rel: Dense = {}
+            for arrangement in set(itertools.permutations(M)):
+                key = mono([w * n + b for w, b in zip(W, arrangement)])
+                rel[key] = rel.get(key, 0) + 1
+            rel = {key: c for key, c in rel.items() if c}
+            if rel:
+                rels.append(rel)
+    return rels
+
+
 def cap_relations(blocks: Sequence[Tuple[int, int, int]], ngens: int) -> List[Dense]:
     """Block caps as explicit monomial relations: every monomial of degree
     cap+1 inside a ``(start, count, cap)`` block."""

@@ -877,3 +877,26 @@ def test_idempotent_identities_flag_tangential_curvature():
     assert by_name["jet-idempotent"].witness == {
         "location": "e(e(P+d)) - e(P+d)[2]", "monomial": "d1^2", "coefficient": "1",
     }
+
+
+def test_tangential_kill_builds_each_coordinate_product_once(monkeypatch):
+    # e(x, y, z) = (x, y, xy) at (1, 2, 2): evaluating e at P+d and at P
+    # makes one product each, and D2e[3][1,2] is the only nonzero Hessian
+    # entry, so rows over a <= b build v[1]·v[2] once, where rows over both
+    # orders built v[2]·v[1] too
+    x, y, _ = (Poly.variable(3, i) for i in range(3))
+    rp = RetractPair.from_idempotent(PolyMap(3, 3, [x, y, x * y]))
+    counts, per_entry = collections.Counter(), {}
+    _counting(monkeypatch, counts, WeilElement, "__mul__")
+    run = CheckReport.run
+
+    def run_counted(self, name, kind, fn):
+        before = counts["__mul__"]
+        entry = run(self, name, kind, fn)
+        per_entry[name] = counts["__mul__"] - before
+        return entry
+
+    monkeypatch.setattr(CheckReport, "run", run_counted)
+    rep = check_idempotent_identities(rp, (1, 2, 2))
+    assert_all_pass(rep)
+    assert per_entry["idempotent/tangential-kill"] == 3

@@ -112,6 +112,29 @@ def test_deep_input_is_a_positional_error(shape, tmp_path, capsys):
     assert shape == "long-sum" or out.err.startswith("1:1: ")
 
 
+@pytest.mark.parametrize("text, position, found", [
+    # C(403, 3) = 10,827,401 basis monomials
+    ("block d vars 3 cap 400\n", "1:20", "400"),
+    # 496 and 21 fit alone, and their product 10,416 does not
+    ("version 1\nblock a vars 2 cap 30\nblock b vars 1 cap 20\n", "3:20", "20"),
+    # the budget holds before math.comb would take long
+    ("block d vars 2 cap " + "9" * 4000 + "\n", "1:20", "9" * 4000),
+], ids=["one-block", "two-blocks", "huge-cap"])
+def test_blocks_over_the_dimension_budget_are_a_positional_error(
+        text, position, found, tmp_path, capsys):
+    path = tmp_path / "big.weil"
+    path.write_text(text)
+    expected = "expected a cap within the dimension budget (10,000 basis monomials over all blocks)"
+    for argv in (["check", str(path)], ["check", str(path), "--json"],
+                 ["eval", str(path), "--expr", "sqrt(1 + d[1] + d[2] + d[3])"]):
+        start = time.perf_counter()
+        code = main(argv)
+        out = capsys.readouterr()
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out.out == ""
+        assert out.err == f"{path}:{position}: {expected}, found {found}\n"
+
+
 @pytest.mark.parametrize("body, value", [
     (" + ".join(["x"] * 1000), "(1000 + 1000·d)"),
     (" * ".join(["x"] * 1000), "(1 + 1000·d + 499500·d^2)"),

@@ -44,6 +44,7 @@ from _oracles import (
     monomials_up_to,
     nilsquare_relations,
     reduces_to_zero,
+    symmetric_relations,
 )
 
 
@@ -704,6 +705,93 @@ def test_a_context_nobody_holds_is_collected():
     assert key not in weil._contexts
     again = make_quotient_context(["s", "t", "r"], [{(1, 1, 0): 1}, {(0, 2, 0): 1}], 4)
     assert again._bases == {}
+
+
+# a truncated context with a generator killed by its cap, and a quotient
+# whose linear relation rewrites one generator as another
+GENERATOR_CONTEXTS = {
+    "truncated": lambda: make_truncated_context([("gz", 1, 0), ("gd", 2, 2)]),
+    "quotient": lambda: make_quotient_context(
+        ["gs", "gt", "gr"], [{(1, 0, 0): 1, (0, 1, 0): -2}, {(0, 0, 2): 1}], 3),
+}
+
+
+@pytest.mark.parametrize("build", sorted(GENERATOR_CONTEXTS))
+def test_a_context_with_its_generators_built_needs_no_cyclic_collection(build):
+    # generators built once must not be held as elements: an element points
+    # back at its context, and the cycle would outlive the last reference
+    gc.disable()
+    try:
+        ctx = GENERATOR_CONTEXTS[build]()
+        assert len(ctx.gens()) == ctx.ngens
+        ctx.vanishes_from(ctx.degree_cap)
+        gone = weakref.ref(ctx)
+        del ctx
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("build", sorted(GENERATOR_CONTEXTS))
+def test_generators_share_no_state_with_what_is_built_from_them(build):
+    ctx = GENERATOR_CONTEXTS[build]()
+    n = ctx.ngens
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    for i in range(n):
+        g, h = ctx.gen(i), ctx.gen((i + 1) % n)
+        built = [g + h, g * h, -g, g - 3, 2 * g]
+        if not g.is_zero():
+            built.append(invert(1 + g))
+        for x in built:
+            _assert_canonical(x)
+        for j in range(n):
+            assert ctx.gen(j) == ctx.element({units[j]: 1})
+            _assert_canonical(ctx.gen(j))
+    listed = ctx.gens()
+    listed.clear()
+    assert ctx.gens() == [ctx.element({u: 1}) for u in units] and ctx.gens() is not ctx.gens()
+    for i in (-1, n):
+        with pytest.raises(IndexError):
+            ctx.gen(i)
+
+
+SYMMETRIC_SHAPES = [(n, k, m) for n in range(1, 5) for k in (1, 2) for m in range(2, 6)]
+
+
+@pytest.mark.parametrize("n, k, m", SYMMETRIC_SHAPES)
+def test_memoized_symmetric_presentations_are_the_built_ones(n, k, m):
+    rels = symmetric_relations(n, k, m)
+    for cap in (None, 0, k + 1, 2 * k + 3):
+        ctx = generic_symmetric_Ak_tuple(n, k, m, degree_cap=cap)[0]
+        want = 2 * (k + 1) if cap is None else cap
+        assert make_quotient_context(ctx.names, rels, want) is ctx
+    if k == 1:
+        ctx = generic_nilsquare_tuple(n, m)[0]
+        assert make_quotient_context(ctx.names, rels, m) is ctx
+
+
+def test_models_of_one_shape_share_their_context_not_their_points():
+    first_base, second_base = (1, Fraction(1, 2)), (-3, 0)
+    a_ctx, a = generic_symmetric_Ak_tuple(2, 1, 4, base=first_base)
+    b_ctx, b = generic_symmetric_Ak_tuple(2, 1, 4, base=second_base)
+    assert a_ctx is b_ctx
+    assert a[0].rational_coords() == first_base and b[0].rational_coords() == second_base
+    assert all(p is not q and p != q for p, q in zip(a, b))
+    assert [p - a[0] for p in a] == [q - b[0] for q in b]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 1, 1), "need at least two points"),
+    ((2, 0, 3), "order k must be at least 1"),
+    ((2, 1, 3, None, -1), "degree cap must be nonnegative"),
+])
+def test_symmetric_model_argument_errors(args, message):
+    with pytest.raises(WeilError, match=message):
+        generic_symmetric_Ak_tuple(*args)
+    if args[1] == 1:
+        n, _, m, *rest = args
+        with pytest.raises(WeilError, match=message):
+            generic_nilsquare_tuple(n, m, *rest)
 
 
 # -- the degree from which a quotient vanishes ------------------------------------------
