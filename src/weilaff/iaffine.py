@@ -247,16 +247,35 @@ def _bilinear_combiner(at: Callable, points: Sequence[PointVec]) -> Callable:
     """weights -> the connection combine of ``points`` with G = at(P1), expanded
     as in the module docstring.  Each pair G[D_j, D_l] is built when a weight
     tuple first gives it a nonzero coefficient.  Every call checks what ``at``
-    and :func:`weighted_point_sum` check; only work that succeeded is kept."""
+    and :func:`weighted_point_sum` check; only work that succeeded is kept.
+
+    G is evaluated at P1 cut to degree top - 2·md, md being the least degree
+    of a nonzero coordinate of the D_j and top the degree above which the
+    context vanishes.  Exact: G's coefficients are polynomials in P1, so
+    those at P1 and at the cut point differ by terms above the cut (a jet
+    depends only on its point modulo the degrees it keeps), and every
+    product D_j[a]·D_l[b] has degree at least 2·md, so those terms times it
+    lie above top.  A cut normal form is one still, since the relations are
+    homogeneous.  With md = 0, or no nonzero D_j, nothing is cut."""
     points = list(points)
-    gamma = functools.cache(lambda: at(points[0]))
     differences = functools.cache(lambda: [P - points[0] for P in points])
     pairs = {}
 
+    @functools.cache
+    def gamma():
+        P1 = points[0]
+        md = min((x.min_degree() for D in differences() for x in D if not x.is_zero()),
+                 default=0)
+        if md:
+            cut = P1.context._top - 2 * md
+            P1 = PointVec(P1.context, tuple(x._below(cut) for x in P1))
+        return at(P1)
+
     def combine(weights) -> PointVec:
         weights = _as_weights(weights)
-        G, s = gamma(), weighted_point_sum(weights, points)
-        D, w, terms = differences(), weights.values, [(1, s)]
+        # the sum checks the points against P1, so their differences exist
+        s = weighted_point_sum(weights, points)
+        G, D, w, terms = gamma(), differences(), weights.values, [(1, s)]
         for j in range(1, len(w)):
             for l in range(j, len(w)):
                 q = w[j] * w[l] if j < l else (w[j] * w[j] - w[j]) / 2

@@ -16,9 +16,15 @@ Each predicate has a ``find_*_violation`` twin returning a :class:`Witness`
 ``generic_*`` constructor building the freest model of the condition, so that
 an identity checked on the generic model holds in every model.
 
-A generic model's presentation (generator names, block and cleaned
-relations) depends only on its shape, so the symmetric-only models build it
-once per shape and keep it for the life of the process; the context itself
+The searches run depth first and drop a prefix once the least degree its
+extensions can have lies where everything vanishes, or above the search's
+reach: the sum of the caps of the blocks whose generators occur in the
+factors, which no product of them can exceed.  Neither bound changes the
+order of the search, so the first surviving product is the one found.
+
+A generic model's presentation (generator names, block, cleaned relations
+and intern key) depends only on its shape, so the symmetric-only models build
+it once per shape and keep it for the life of the process; the context itself
 is interned as any other (:mod:`weilaff.weil`), so it lives only while
 something holds it.  The points of every generic tuple come from one helper:
 P1 is the base, and P_{j+1} adds the j-th slice of n generators.
@@ -43,6 +49,7 @@ from .weil import (
     _contract,
     _decimal,
     _intern,
+    _presentation_key,
     make_truncated_context,
 )
 
@@ -155,7 +162,8 @@ def _search_multiset_products(factors, size: int, ctx: WeilContext) -> Optional[
 
     ``factors`` is a list of (label, element).  Factors are sorted by minimal
     degree so that a partial product whose degree bound already reaches a
-    degree where everything vanishes prunes every extension at once.
+    degree where everything vanishes, or exceeds the factors' reach, prunes
+    every extension at once.
     """
     items = []
     for label, el in factors:
@@ -163,6 +171,7 @@ def _search_multiset_products(factors, size: int, ctx: WeilContext) -> Optional[
         if md is not None:
             items.append((md, label, el))
     items.sort(key=lambda t: t[0])
+    reach = ctx._reach([el for _, _, el in items])
 
     def rec(start: int, labels, prefix):
         need = size - len(labels)
@@ -171,7 +180,8 @@ def _search_multiset_products(factors, size: int, ctx: WeilContext) -> Optional[
         pd = 0 if prefix is None else prefix.min_degree()
         for i in range(start, len(items)):
             md, label, el = items[i]
-            if ctx.vanishes_from(pd + md * need):
+            bound = pd + md * need
+            if bound > reach or ctx.vanishes_from(bound):
                 break  # items are sorted: every later factor is at least as deep
             prod = el if prefix is None else prefix * el
             if prod.is_zero():
@@ -224,12 +234,13 @@ def find_DN_k_violation(vectors: Sequence[PointVec]) -> Optional[Witness]:
     suffix = [0] * (len(vectors) + 1)
     for s in range(len(vectors) - 1, -1, -1):
         suffix[s] = suffix[s + 1] + slot_min[s]
+    reach = ctx._reach([x for v in vectors for x in v])
 
     def rec(slot: int, labels, prefix):
         if slot == len(vectors):
             return Witness.of("·".join(labels), prefix)
-        pd = 0 if prefix is None else prefix.min_degree()
-        if ctx.vanishes_from(pd + suffix[slot]):
+        bound = suffix[slot] + (0 if prefix is None else prefix.min_degree())
+        if bound > reach or ctx.vanishes_from(bound):
             return None
         v = vectors[slot]
         for a in range(dim):
@@ -354,8 +365,9 @@ def generic_nilsquare_tuple(n: int, m: int, base=None, degree_cap=None):
 
 @functools.cache
 def _symmetric_presentation(n: int, k: int, m: int, degree_cap: int) -> tuple:
-    """The names, block and cleaned relations of the symmetric-only model:
-    built once per shape, so a model built again only interns them."""
+    """The names, block, cleaned relations and intern key of the
+    symmetric-only model: built once per shape, so a model built again only
+    looks its context up."""
     ngens = n * (m - 1)
     names = tuple(f"u{j + 2}_{a + 1}" for j in range(m - 1) for a in range(n))
     relations = []
@@ -369,7 +381,9 @@ def _symmetric_presentation(n: int, k: int, m: int, degree_cap: int) -> tuple:
                 key = tuple(exps)
                 rel[key] = rel.get(key, 0) + 1
             relations.append(rel)
-    return names, (Block("", 0, ngens, degree_cap),), _clean_relations(relations, ngens)
+    blocks = (Block("", 0, ngens, degree_cap),)
+    relations = _clean_relations(relations, ngens)
+    return names, blocks, relations, _presentation_key(names, blocks, relations)
 
 
 def generic_symmetric_Ak_tuple(n: int, k: int, m: int, base=None, degree_cap=None):

@@ -44,10 +44,13 @@ form over one positive common denominator, in lowest terms, so ``==`` on
 elements is equality in the algebra (the layout of FLINT's ``fmpq_poly``).
 Fractions appear only at the edges: building elements from rationals, and
 reading coefficients, constant terms and witnesses back.  A product visits
-only the pairs of terms whose degrees fit under the total cap, relation
-reduction runs on integer rows, and a linear combination of elements is
-built over one common denominator and brought to lowest terms once.  All
-arithmetic is exact; nothing here ever touches floats.
+only the pairs of terms whose degrees fit under the known top degree, and a
+factor of one term ``c·m`` visits no pair: the other factor's monomials are
+shifted by ``m`` (one integer addition each), those past a cap dropped, and
+scaled by ``c``.  Relation reduction runs on integer rows, and a linear
+combination of elements is built over one common denominator and brought
+to lowest terms once.  All arithmetic is exact; nothing here ever touches
+floats.
 
 Contexts are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): both makers return the live context of an equal
@@ -305,6 +308,21 @@ class WeilContext:
             return False
         self._degree_basis(degree)
         return degree > self._top
+
+    def _reach(self, elements) -> int:
+        """The highest degree a product of ``elements`` can reach: the sum of
+        the caps of the blocks with a generator in one of their monomials.
+        Relations are homogeneous, so reduction keeps a product's degrees."""
+        used = 0
+        for x in elements:
+            for m in x._num:
+                used |= m
+        # a block's generator fields are adjacent, its last generator lowest
+        offsets, w, reach = self._offsets, self._mask.bit_length(), 0
+        for b in self.blocks:
+            if b.count and used >> offsets[b.start + b.count - 1] & ((1 << w * b.count) - 1):
+                reach += b.cap
+        return reach
 
     # -- packed monomials ----------------------------------------------------
 
@@ -679,11 +697,18 @@ def _clean_relations(relations, ngens: int) -> tuple:
 _contexts = weakref.WeakValueDictionary()
 
 
-def _intern(names: tuple, blocks: tuple, relations: tuple) -> WeilContext:
-    """The live context of this presentation, or a new one.  Relations come
-    cleaned, so coefficients of equal value give one key."""
+def _presentation_key(names: tuple, blocks: tuple, relations: tuple) -> tuple:
+    """The intern table's key of a presentation.  Relations come cleaned, so
+    coefficients of equal value give one key."""
     block_fields = tuple((b.name, b.start, b.count, b.cap) for b in blocks)
-    key = (names, block_fields, tuple(tuple(rel.items()) for rel in relations))
+    return names, block_fields, tuple(tuple(rel.items()) for rel in relations)
+
+
+def _intern(names: tuple, blocks: tuple, relations: tuple, key: tuple = None) -> WeilContext:
+    """The live context of this presentation, or a new one.  ``key`` is the
+    presentation's :func:`_presentation_key`, when the caller kept it."""
+    if key is None:
+        key = _presentation_key(names, blocks, relations)
     ctx = _contexts.get(key)
     if ctx is None:
         # a race at worst builds two equal contexts, one of them stored
@@ -803,6 +828,13 @@ class WeilElement:
     def nilpotent_part(self) -> "WeilElement":
         return self - self.constant_term
 
+    def _below(self, degree: int) -> "WeilElement":
+        """This element with every term above ``degree`` dropped: a normal
+        form still, since the relations are homogeneous."""
+        limit = (degree + 1) << self.context._dshift
+        return WeilElement(self.context, *_lowest_terms(
+            {m: c for m, c in self._num.items() if m < limit}, self.den))
+
     def leading_witness(self):
         """(monomial string, coefficient) for the least surviving monomial."""
         key = min(self._num)
@@ -811,18 +843,16 @@ class WeilElement:
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _plus(self, other: "WeilElement", sign: int) -> "WeilElement":
+        """``self + sign * other`` for a sign of 1 or -1, in one pass."""
         # normal forms are closed under addition (reduction is linear)
         da, db = self.den, other.den
         if da == db:
             out = dict(self._num)
-            fb = 1
+            fb = sign
         else:
             g = math.gcd(da, db)
-            fa, fb = db // g, da // g
+            fa, fb = db // g, sign * (da // g)
             out = {m: c * fa for m, c in self._num.items()}
             da *= fa
         for m, c in other._num.items():
@@ -833,6 +863,12 @@ class WeilElement:
                 del out[m]
         return WeilElement(self.context, *_lowest_terms(out, da))
 
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._plus(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self):
@@ -842,13 +878,13 @@ class WeilElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -860,11 +896,25 @@ class WeilElement:
             return NotImplemented
         ctx = self.context
         a, b = self._num, other._num
-        # a constant factor only scales the other one
-        if len(b) == 1 and 0 in b:
-            return self._scaled(b[0], other.den)
-        if len(a) == 1 and 0 in a:
-            return other._scaled(a[0], self.den)
+        x, y = self, other
+        if len(a) == 1 and (len(b) != 1 or 0 in a):
+            x, y, a, b = other, self, b, a  # the one-term factor on the right
+        if len(b) == 1:
+            # a one-term factor c·m shifts the other one's monomials by m: one
+            # addition per term, kept when it is alive; m = 0 only scales
+            ((m, c),) = b.items()
+            if not m:
+                return x._scaled(c, y.den)
+            limit = (ctx._top + 1) << ctx._dshift
+            bias, guard = ctx._bias, ctx._guard
+            # a loop, not a comprehension: one would turn the names it reads
+            # into cells, which the pair loop below reads
+            out = {}
+            for key, v in a.items():
+                key += m
+                if key < limit and not (key + bias) & guard:
+                    out[key] = v * c
+            return ctx._normal_form(out, x.den * y.den)
         # the right factor's terms in order of degree; ends[r] counts those of
         # degree at most r, so a left term of degree d meets exactly the
         # first ends[top - d] of them and no pair is visited to be rejected
@@ -1100,7 +1150,7 @@ class PointVec:
     def __init__(self, context: WeilContext, coords: Sequence[WeilElement]):
         coords = tuple(coords)
         for c in coords:
-            if not isinstance(c, WeilElement) or c.context != context:
+            if not isinstance(c, WeilElement) or c.context is not context and c.context != context:
                 raise ContextMismatchError("all coordinates must share the context")
         self.context = context
         self.coords = coords
@@ -1121,7 +1171,7 @@ class PointVec:
     def _check(self, other):
         if not isinstance(other, PointVec):
             raise TypeError("expected a PointVec")
-        if other.context != self.context:
+        if other.context is not self.context and other.context != self.context:
             raise ContextMismatchError("points belong to different contexts")
         if other.dim != self.dim:
             raise WeilError(f"dimension mismatch: {self.dim} vs {other.dim}")

@@ -232,6 +232,50 @@ def brute_in_DN_k(
     return True
 
 
+def search_multiset_products(factors: Sequence, size: int):
+    """The first nonzero product of ``size`` of the ``(label, element)``
+    factors, repetition allowed, as ``(labels joined by "·", product)``, or
+    None.  The library's depth-first order (nonzero factors sorted stably by
+    least degree, then index multisets in order) with no degree bound: every
+    nonzero prefix is extended, so any pruning the library adds must leave
+    this answer unchanged."""
+    items = sorted(((x.min_degree(), label, x) for label, x in factors if not x.is_zero()),
+                   key=lambda t: t[0])
+
+    def rec(start, labels, prefix):
+        if len(labels) == size:
+            return "·".join(labels), prefix
+        for i in range(start, len(items)):
+            _, label, x = items[i]
+            prod = x if prefix is None else prefix * x
+            if not prod.is_zero():
+                found = rec(i, labels + [label], prod)
+                if found is not None:
+                    return found
+        return None
+
+    return rec(0, [], None)
+
+
+def search_cross_products(vectors: Sequence[Sequence]):
+    """The first nonzero product of one coordinate from each vector, slot by
+    slot, as ``(labels, product)`` with labels ``v<slot>[<index>]``, or
+    None: the library's DN_k order with no degree bound."""
+
+    def rec(slot, labels, prefix):
+        if slot == len(vectors):
+            return "·".join(labels), prefix
+        for a, x in enumerate(vectors[slot]):
+            prod = x if prefix is None else prefix * x
+            if not prod.is_zero():
+                found = rec(slot + 1, labels + [f"v{slot + 1}[{a + 1}]"], prod)
+                if found is not None:
+                    return found
+        return None
+
+    return rec(0, [], None)
+
+
 def contract(zero, one, rows: Sequence[Mapping], vectors: Sequence[Sequence]) -> list:
     """For each row, the sum over its entries ``idx: c`` of ``c`` times the
     product of ``vectors[j][idx[j]]`` over the slots ``j``, built left to

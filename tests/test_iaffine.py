@@ -332,9 +332,11 @@ def test_connection_combine_rejects_far_tuples():
 @st.composite
 def connection_cases(draw):
     """A connection of degree <= 1 in n = 1..3 variables, a unitriangular chart,
-    a generic second-order t-tuple (t = 2..5), affine weights with zeros and
-    repeats plus one basis tuple, and outer weights for the combined tuple."""
-    n, t = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    a generic t-tuple (t = 2..5) of order cap = 2..4, affine weights with zeros
+    and repeats plus one basis tuple, and outer weights for the combined
+    tuple.  Above cap 2 the tuple is no second-order one, and the combiner
+    cuts Γ's point at degree cap - 2 rather than 0."""
+    n, t, cap = draw(st.integers(1, 3)), draw(st.integers(2, 5)), draw(st.integers(2, 4))
     monos = [(0,) * n] + [tuple(int(v == a) for v in range(n)) for a in range(n)]
     entries = {
         (i, a, b): Poly(n, {m: draw(SMALL) for m in monos})
@@ -355,7 +357,7 @@ def connection_cases(draw):
 
     families = [affine(t) for _ in range(draw(st.integers(1, 3)))]
     families.append(basis_weights(t, draw(st.integers(0, t - 1))))
-    _, pts = generic_Ak_tuple(n, 2, t, base=[draw(SMALL) for _ in range(n)])
+    _, pts = generic_Ak_tuple(n, cap, t, base=[draw(SMALL) for _ in range(n)])
     return Connection(n, entries), PolyMap(n, n, chart), pts, families, affine(len(families))
 
 
@@ -370,7 +372,7 @@ def test_connection_combiners_match_the_direct_formula(case):
     combined = []
     for w in families:
         want = direct_combine(conn.at(pts[0]), w, pts)
-        assert connection_combine(conn, w, pts) == want
+        assert connection_combine(conn, w, pts, check=pts[0].context.degree_cap == 2) == want
         assert combine(w) == want
         combined.append(want)
         assert down(w) == direct_combine(Gt, w, pts)
@@ -703,9 +705,11 @@ def test_connection_axioms_evaluate_gamma_once_per_tuple_and_each_pair_once(monk
     conn = Connection(2, {(0, 0, 0): x, (0, 0, 1): y, (1, 1, 1): x + y, (1, 0, 0): 3})
     _, pts = generic_Ak_tuple(2, 2, t, base=(1, -2))
     families = [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 0), (-1, 1, 1, 0), (2, 0, -1, 0)]
-    counts, per_entry = collections.Counter(), {}
-    for cls, name in ((Connection, "at"), (BilinearMap, "apply"), (WeilElement, "__mul__")):
+    counts, per_entry, at_points = collections.Counter(), {}, []
+    for cls, name in ((BilinearMap, "apply"), (WeilElement, "__mul__")):
         _counting(monkeypatch, counts, cls, name)
+    at = Connection.at
+    monkeypatch.setattr(Connection, "at", lambda self, P: at_points.append(P) or at(self, P))
     run = CheckReport.run
 
     def run_counted(self, name, kind, fn):
@@ -716,8 +720,10 @@ def test_connection_axioms_evaluate_gamma_once_per_tuple_and_each_pair_once(monk
 
     monkeypatch.setattr(CheckReport, "run", run_counted)
     assert_all_pass(check_axioms(ConnectionAction(conn), pts, families, outer=OUTER))
-    # once at P1 of the input tuple, once at the first combined point
-    assert counts["at"] == 2
+    # once at P1 of the input tuple, once at the first combined point; at cap
+    # 2 a pair product has degree 2 already, so only Γ's constant term is read
+    assert len(at_points) == 2
+    assert at_points[0] == pts[0] and all(P.is_rational() for P in at_points)
     assert counts["apply"] <= t * (t - 1) // 2 + F * (F - 1) // 2
     assert per_entry["axioms/projection"] == 0
 

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weilaff import (
     MultilinearForm,
@@ -23,6 +24,7 @@ from weilaff import (
     eval_form,
     find_A_k_violation,
     find_D_k_violation,
+    find_DN_k_violation,
     find_nilsquare_violation,
     generic_Ak_tuple,
     generic_Dk_vector,
@@ -32,6 +34,7 @@ from weilaff import (
     in_D_k,
     in_DN_k,
     in_nilsquare,
+    make_quotient_context,
     make_truncated_context,
     symmetric_coordinate_form,
 )
@@ -43,7 +46,10 @@ from _oracles import (
     monomials_up_to,
     nilsquare_relations,
     point_dense,
+    search_cross_products,
+    search_multiset_products,
 )
+from weilaff.weil import WeilElement
 
 
 def two_blocks():
@@ -555,3 +561,118 @@ def test_symmetric_model_base_offset_preserves_answers():
     w_plain = find_A_k_violation(plain, 2)
     w_moved = find_A_k_violation(moved, 2)
     assert (w_plain is None) == (w_moved is None)
+
+
+# -- pruning against the unpruned searches ----------------------------------------------
+
+
+@st.composite
+def search_cases(draw):
+    """A context of 2-3 blocks with caps 1-3, half the time with one or two
+    homogeneous relations of degree 2; a point tuple whose differences use
+    the generators of a drawn subset of the blocks only; and 2-3 vectors,
+    each linear in the generators of one block."""
+    blocks = [(name, draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+              for name in "abc"[: draw(st.integers(2, 3))]]
+    ngens = sum(count for _, count, _ in blocks)
+    quadratic = [m for m in monomials_up_to(ngens, 2) if sum(m) == 2]
+    relation = st.dictionaries(st.sampled_from(quadratic), st.integers(-2, 2).filter(bool),
+                               min_size=1, max_size=2)
+    relations = draw(st.lists(relation, min_size=1, max_size=2)) if draw(st.booleans()) else []
+    ctx = make_truncated_context(blocks, relations)
+    starts = list(itertools.accumulate([0] + [count for _, count, _ in blocks]))
+
+    def elements(block_set, degrees, min_size):
+        gens = [i for b in block_set for i in range(starts[b], starts[b + 1])]
+        monos = [m for m in monomials_up_to(ngens, 2) if sum(m) in degrees
+                 and all(e == 0 or i in gens for i, e in enumerate(m))]
+        coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+        return st.dictionaries(st.sampled_from(monos), coeff, min_size=min_size,
+                               max_size=3).map(ctx.element)
+
+    touched = draw(st.sets(st.integers(0, len(blocks) - 1), min_size=1))
+    small = elements(touched, (0, 1, 2), 0)
+    n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    base = ctx.point([draw(st.integers(-2, 2)) for _ in range(n)])
+    points = [base] + [base + PointVec(ctx, tuple(draw(small) for _ in range(n)))
+                       for _ in range(m - 1)]
+    # DN_k needs every vector in D_k, k = count - 1, which a block capped at
+    # most k grants; the blocks come in a drawn order, so products cross them
+    count = draw(st.integers(2, 3))
+    low = [b for b, (_, _, cap) in enumerate(blocks) if cap < count] or range(len(blocks))
+    order = draw(st.permutations(low))
+    vectors = []
+    for i in range(count):
+        linear = elements({order[i % len(order)]}, (1,), 1)
+        vectors.append(PointVec(ctx, tuple(draw(linear) for _ in range(n))))
+    return points, vectors, draw(st.integers(1, 3))
+
+
+def _same(witness, found):
+    if found is None:
+        return witness is None
+    return witness == Witness.of(*found)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases())
+def test_pruned_searches_match_the_unpruned_ones(case):
+    points, vectors, k = case
+    v = points[-1] - points[0]
+    assert _same(find_D_k_violation(v, k),
+                 search_multiset_products([(f"v[{a + 1}]", v[a]) for a in range(v.dim)], k + 1))
+    factors = [(f"(P{j + 1}-P{i + 1})[{a + 1}]", (points[j] - points[i])[a])
+               for i, j in itertools.combinations(range(len(points)), 2)
+               for a in range(v.dim)]
+    assert _same(find_A_k_violation(points, k), search_multiset_products(factors, k + 1))
+    pairs = [search_multiset_products([f for f in factors if f[0].startswith(f"(P{j + 1}-P{i + 1})")], 2)
+             for i, j in itertools.combinations(range(len(points)), 2)]
+    assert _same(find_nilsquare_violation(points), next((p for p in pairs if p), None))
+    order = len(vectors) - 1
+    members = [search_multiset_products([(f"v[{a + 1}]", x[a]) for a in range(x.dim)], order + 1)
+               for x in vectors]
+    if any(members):
+        with pytest.raises(WeilError, match="is not in D_"):
+            find_DN_k_violation(vectors)
+    else:
+        assert _same(find_DN_k_violation(vectors), search_cross_products(vectors))
+
+
+def _pinned_case():
+    """P = (1, 2) with Q = P + q, S = P + s and T = P + d over blocks
+    q(2,1), s(2,1), d(2,2)."""
+    ctx = make_truncated_context([("q", 2, 1), ("s", 2, 1), ("d", 2, 2)])
+    g = ctx.gens()
+    P = ctx.point((1, 2))
+    Q, S, T = (P + PointVec(ctx, tuple(g[i:i + 2])) for i in (0, 2, 4))
+    return P, Q, S, T
+
+
+@pytest.mark.parametrize("search, products, witness", [
+    (lambda P, Q, S, T: find_A_k_violation([P, Q, S], 2), 0, None),
+    (lambda P, Q, S, T: find_A_k_violation([P, T], 2), 0, None),
+    (lambda P, Q, S, T: find_D_k_violation(T - P, 2), 0, None),
+    (lambda P, Q, S, T: find_DN_k_violation([Q - P, S - P]), 1, ("v1[1]·v2[1]", "q1·s1")),
+    (lambda P, Q, S, T: find_A_k_violation([P, Q, S], 1), 3, ("(P2-P1)[1]·(P3-P1)[1]", "q1·s1")),
+], ids=["A2(P;Q;S)", "A2(P;T)", "D2(T-P)", "DN1(Q-P;S-P)", "A1(P;Q;S)"])
+def test_searches_build_no_product_past_the_blocks_they_touch(monkeypatch, search, products, witness):
+    # a product of q's and s's has degree at most 1 + 1, of d's at most 2,
+    # however high the total cap (4) is
+    points = _pinned_case()
+    built = []
+    mul = WeilElement.__mul__
+    monkeypatch.setattr(WeilElement, "__mul__", lambda x, y: built.append(1) or mul(x, y))
+    w = search(*points)
+    assert len(built) == products
+    if witness is None:
+        assert w is None
+    else:
+        assert (w.location, w.monomial, w.coefficient) == (*witness, 1)
+
+
+def test_searches_over_a_context_without_generators():
+    # its one block has no generator, so the reach is 0; constants still multiply
+    ctx = make_quotient_context([], [], 2)
+    w = find_A_k_violation([ctx.point((1,)), ctx.point((3,))], 1)
+    assert (w.location, w.monomial, w.coefficient) == ("(P2-P1)[1]·(P2-P1)[1]", "1", 4)
+    assert find_D_k_violation(ctx.point((0,)), 1) is None

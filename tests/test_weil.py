@@ -9,7 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weilaff import (
     ContextMismatchError,
@@ -586,6 +586,75 @@ def test_constant_operand_matches_general_product(data):
     assert as_dense(c * x) == _oracle_product(case, c, x)
 
 
+# Contexts for the one-term products: the truncated and quotient kernel
+# cases, the binding blocks of MIXED_BLOCKS with their relations, and a
+# nil-square quotient capped at 4 whose known top is 2.
+ONE_TERM_CASES = {
+    "truncated": lambda: KERNEL_CASES["truncated"][0],
+    "mixed-blocks": lambda: make_truncated_context(MIXED_BLOCKS, MIXED_RELS),
+    "quotient": lambda: KERNEL_CASES["quotient"][0],
+    "quotient-below-cap": lambda: make_quotient_context(
+        ["p1", "p2", "q1", "q2"], NILSQ_RELS, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_TERM_CASES))
+def test_one_term_products_match_the_dense_oracle(case, mixed_member):
+    ctx = ONE_TERM_CASES[case]()
+    ctx.vanishes_from(ctx.degree_cap)  # the known top, where relations lower it
+    rels = list(ctx.relations)
+    blocks = [(b.start, b.count, b.cap) for b in ctx.blocks if b.cap < ctx.degree_cap]
+    member = mixed_member if case == "mixed-blocks" else ideal_membership(
+        rels + cap_relations(blocks, ctx.ngens), ctx.ngens, ctx.max_degree)
+    rng = random.Random(case)
+    monos = monomials_up_to(ctx.ngens, min(ctx.max_degree, 3))
+    crossed = set()
+    for mono in monomials_up_to(ctx.ngens, ctx.max_degree):
+        q = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+        one = ctx.element({mono: q})
+        if len(one.num) != 1:  # a pivot or a capped monomial is not one term
+            continue
+        for _ in range(2):
+            x = ctx.element({rng.choice(monos): Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                             for _ in range(5)})
+            got = one * x
+            assert got == x * one
+            if not any(mono):
+                assert got == x * q
+            _assert_canonical(got)
+            raw = dense_mul(as_dense(one), as_dense(x), ctx.max_degree)
+            if rels:
+                assert member(dense_add(raw, dense_scale(as_dense(got), Fraction(-1))))
+            else:
+                assert as_dense(got) == {m: c for m, c in raw.items() if not member({m: 1})}
+            # a shift that lands past a block cap or the known top drops that term
+            for m in x.num:
+                shifted = tuple(a + b for a, b in zip(m, mono))
+                if sum(shifted) > ctx._top:
+                    crossed.add("top")
+                elif ctx.monomial_is_zero(shifted):
+                    crossed.add("block")
+    want = {"truncated": {"top"}, "mixed-blocks": {"block", "top"},
+            "quotient": {"top"}, "quotient-below-cap": {"top"}}[case]
+    assert want <= crossed
+    if case == "quotient-below-cap":
+        assert ctx._top == 2
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.data())
+def test_subtraction_is_adding_the_negative(data):
+    case = data.draw(CASE)
+    x, y = data.draw(_case_elements(case)), data.draw(_case_elements(case))
+    q = data.draw(_COEFF)
+    assume(x.den != y.den)
+    assert x - y == x + (-y)
+    assert q - x == (-x) + q and x - q == x + (-q)
+    _assert_canonical(x - y)
+    zero = x - x
+    assert (zero._num, zero.den) == ({}, 1)
+
+
 @settings(max_examples=80, derandomize=True)
 @given(st.data())
 def test_quotient_normal_forms_against_membership(data):
@@ -768,6 +837,18 @@ def test_memoized_symmetric_presentations_are_the_built_ones(n, k, m):
     if k == 1:
         ctx = generic_nilsquare_tuple(n, m)[0]
         assert make_quotient_context(ctx.names, rels, m) is ctx
+
+
+def test_a_warm_model_build_builds_no_intern_key(monkeypatch):
+    held = generic_nilsquare_tuple(4, 4)[0]
+    built = []
+    key = weil._presentation_key
+    monkeypatch.setattr(weil, "_presentation_key", lambda *args: built.append(args) or key(*args))
+    assert generic_nilsquare_tuple(4, 4)[0] is held
+    assert built == []
+    # a maker, which is handed a presentation, builds its key once
+    assert make_quotient_context(held.names, held.relations, held.degree_cap) is held
+    assert len(built) == 1
 
 
 def test_models_of_one_shape_share_their_context_not_their_points():
