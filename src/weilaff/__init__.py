@@ -20,11 +20,9 @@ from .weil import (
     sqrt,
 )
 from .polymap import (
-    MAX_TAYLOR_ORDER,
     Add,
     AnyMap,
     Const,
-    DerivativeTensor,
     DimensionMismatchError,
     Div,
     Expr,
@@ -38,12 +36,10 @@ from .polymap import (
     Sub,
     Var,
     compose,
-    derivative_tensor,
     eval_expr,
     eval_map,
     expr_to_poly,
-    point_jet,
-    taylor_eval,
+    jet,
 )
 from .neighborhoods import (
     MultilinearForm,
@@ -83,7 +79,6 @@ from .iaffine import (
     check_pullback_lemma,
     connection_apply,
     connection_combine,
-    induced_connection_check,
     pullback_connection,
     retract_combine,
     weighted_point_sum,

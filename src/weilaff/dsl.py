@@ -41,7 +41,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .polymap import Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Var, expr_to_poly
+from .polymap import _BINARY, Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Var, expr_to_poly
 from .weil import Record, _set_field
 
 __all__ = [
@@ -274,6 +274,57 @@ class _Sym:
 # about ten with one (README, "Scenario files")
 _MAX_DIMENSION = 10_000
 
+# The most terms a map component, relation or GAMMA entry may expand to, by
+# :func:`_expanded_terms`: (x+1)^999 takes about half a second (README)
+_MAX_TERMS = 1_000
+
+
+def _expanded_terms(node, nvars: int) -> int:
+    """A bound on the terms of the polynomial ``node`` over ``nvars``
+    variables and of each subexpression expanded on the way, saturated past
+    ``_MAX_TERMS``: a degree-D one has at most C(nvars + D, nvars) terms, a
+    sum at most its operands' together, a product their product, and a
+    t-term base to the power e at most C(t + e - 1, e), so a power of one
+    monomial stays one term.  A quotient or a root counts as its first operand."""
+    over = _MAX_TERMS + 1
+
+    def comb(top, k):  # C(top, k) for 0 < k < top, saturated; it exceeds k and top - k
+        return over if max(k, top - k) >= over else min(math.comb(top, k), over)
+
+    # operands are walked before the node, which the stack holds as (node,)
+    # meanwhile; ``done`` holds (degree, terms) of finished operands, the
+    # rightmost last, each saturated at ``over``
+    worst, done, todo = 1, [], [node]
+    while todo:
+        n = todo.pop()
+        kind = type(n)
+        if kind is Const or kind is Var:
+            done.append((1 if kind is Var else 0, 1))
+        elif kind is not tuple:
+            todo.append((n,))
+            todo.extend((n.right, n.left) if kind in _BINARY else
+                        (n.base,) if kind is Power else (n.operand,))
+        else:
+            n = n[0]
+            kind = type(n)
+            db, tb = done.pop() if kind in _BINARY else (0, 1)
+            deg, terms = done.pop()
+            if kind is Add or kind is Sub:
+                deg, terms = max(deg, db), terms + tb
+            elif kind is Mul:
+                deg, terms = deg + db, terms * tb
+            elif kind is Power:
+                e = n.exponent
+                deg, terms = deg * e, 1 if terms == 1 or not e else comb(terms + e - 1, e)
+            deg = min(deg, over)
+            if not deg:
+                terms = 1
+            elif terms > max(deg, nvars) + 1:  # under the dense count, which exceeds both
+                terms = min(terms, comb(nvars + deg, nvars))
+            done.append((deg, terms))
+            worst = max(worst, terms)
+    return worst
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -441,10 +492,10 @@ class _Parser:
         out_dim = self.positive_int("output dimension >= 1", "the output dimension")
         self.expect("{")
         names = {p: i for i, p in enumerate(params)}
-        bodies = [self.scalar_body(names, body=True)]
+        bodies = [self.scalar_body(names, len(params), body=True)]
         while self.tok.type == ",":
             self.advance()
-            bodies.append(self.scalar_body(names, body=True))
+            bodies.append(self.scalar_body(names, len(params), body=True))
         close = self.tok
         self.expect("}")
         if len(bodies) != out_dim:
@@ -732,11 +783,15 @@ class _Parser:
 
     # expressions
 
-    def scalar_body(self, names: dict, family=None, body=False) -> Expr:
-        """One scalar body, its names resolved by the rules of :class:`_Scope`."""
-        self.scope = _Scope(names, family, self.tok, body)
+    def scalar_body(self, names: dict, nvars: int, family=None, body=False) -> Expr:
+        """One scalar body over ``nvars`` variables, its names resolved by the
+        rules of :class:`_Scope`, within the term budget."""
+        start = self.tok
+        self.scope = _Scope(names, family, start, body)
         node = self.expr()
         self.scope = None
+        if _expanded_terms(node, nvars) > _MAX_TERMS:
+            self.fail(f"a body within the term budget ({_MAX_TERMS:,} terms when expanded)", start)
         return node
 
     def expr(self):
@@ -882,7 +937,7 @@ class _Parser:
         """Fold an expression into a polynomial over ``nvars`` variables: the
         bare names of ``names``, or the indexed generators ``family[i]``."""
         start = self.tok
-        poly = expr_to_poly(self.scalar_body(names, family), nvars)
+        poly = expr_to_poly(self.scalar_body(names, nvars, family), nvars)
         if poly is None:
             self.fail("division by a nonzero constant", start)
         if poly.is_zero():

@@ -21,9 +21,9 @@ built once per tuple, the embedded points once.
 
 The ``check_*`` functions verify the action axioms (membership of inputs,
 membership of outputs, associativity of iterated combination, projection on
-basis weights), the parallelogram characterization of the induced action,
-the chart-transformation law for connection pullback, and the derivative
-identities of an idempotent.  All equalities are exact normal-form equality.
+basis weights), the chart-transformation law for connection pullback through
+any chart, closed forms included, and the derivative identities of an
+idempotent.  All equalities are exact normal-form equality.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ from .polymap import (
     DimensionMismatchError,
     Poly,
     PolyMap,
-    derivative_tensor,
     eval_map,
-    point_jet,
+    jet,
 )
 from .neighborhoods import (
     Witness,
@@ -307,33 +306,46 @@ def connection_combine(
     return _bilinear_combiner(c.at, points)(weights)
 
 
-def pullback_connection(c: Connection, iota: PolyMap, P: PointVec) -> BilinearMap:
+def _two_jet(f: AnyMap, P: PointVec) -> tuple:
+    """f(P), the Jacobian ``J[i][a]`` and the Hessian ``H[i][a][b]`` of f at
+    P, as elements of P's context, read off one :func:`jet` of order 2."""
+    ctx, n = P.context, P.dim
+    zero = ctx.zero()
+    units = [tuple(int(j == a) for j in range(n)) for a in range(n)]
+    value, J, H = [], [], []
+    for y in jet(f, P, 2):
+        value.append(y.get((0,) * n, zero))
+        J.append([y.get(u, zero) for u in units])
+        # the coefficient of d_a·d_b is the mixed partial, that of d_a² half of it
+        H.append([[y.get(tuple(map(sum, zip(ua, ub))), zero) * (2 if a == b else 1)
+                   for b, ub in enumerate(units)] for a, ua in enumerate(units)])
+    return PointVec(ctx, tuple(value)), J, H
+
+
+def pullback_connection(c: Connection, iota: AnyMap, P: PointVec) -> BilinearMap:
     """The chart-side bilinear map at P induced by c through iota.
 
     Solves the transformation law
         G_{iota(P)}[d iota u, d iota v] = d iota (Gt_P[u, v]) + d^2 iota [u, v]
     for Gt, i.e.  Gt = J^{-1} (G[J u, J v] - H[u, v]) entrywise; needs the
     Jacobian J of iota at P to be invertible (a chart change, so square).
+    iota may be any map, closed forms included, and P any point: iota(P),
+    J and H are read off one jet of iota at P.
     """
-    if not isinstance(iota, PolyMap):
-        raise WeilError("pullback needs a polynomial chart map")
     if iota.in_dim != iota.out_dim or iota.out_dim != c.dim:
         raise WeilError("pullback needs a square chart map matching the connection")
     n = c.dim
     ctx = P.context
-    J = derivative_tensor(iota, P, 1)
-    Jmat = J.as_matrix()
+    value, Jmat, H = _two_jet(iota, P)
     Jinv = mat_inverse(Jmat)
-    H = derivative_tensor(iota, P, 2)
-    G = c.at(eval_map(iota, P))
+    G = c.at(value)
     jinv_rows = [{(j,): Jinv[i][j] for j in range(n)} for i in range(n)]
+    cols = [PointVec(ctx, tuple(row[a] for row in Jmat)) for a in range(n)]
     out = {}
     for a in range(n):
-        Ja = PointVec(ctx, tuple(Jmat[i][a] for i in range(n)))
         for b in range(a, n):
-            Jb = PointVec(ctx, tuple(Jmat[i][b] for i in range(n)))
-            target = G.apply(Ja, Jb)
-            target = tuple(t - H.entry(i, (a, b)) for i, t in enumerate(target))
+            target = G.apply(cols[a], cols[b])
+            target = tuple(t - H[i][a][b] for i, t in enumerate(target))
             for i, x in enumerate(_contract(ctx, jinv_rows, (target,))):
                 out[(i, (a, b))] = x
     return BilinearMap(n, out)
@@ -379,10 +391,6 @@ class RetractPair:
     def idempotent_eval(self, X: PointVec) -> PointVec:
         """e(X) = iota(r(X)) on the ambient space."""
         return self.embed(self.retract(X))
-
-    def project_chart(self, P: PointVec) -> PointVec:
-        """r(iota(P)): the chart-side normalization (identity when r∘iota = id)."""
-        return self.retract(self.embed(P))
 
 
 def _retract_membership_violation(rp: RetractPair, points) -> Optional[Witness]:
@@ -436,9 +444,6 @@ class CanonicalAction:
     def combine(self, weights, points, check: bool = True) -> PointVec:
         return canonical_combine(weights, points, self.order, check=check)
 
-    def canonicalize_point(self, X: PointVec) -> PointVec:
-        return X
-
 
 class ConnectionAction:
     """Handle for the second-order action induced by a connection."""
@@ -458,9 +463,6 @@ class ConnectionAction:
 
     def combine(self, weights, points, check: bool = True) -> PointVec:
         return connection_combine(self.connection, weights, points, check=check)
-
-    def canonicalize_point(self, X: PointVec) -> PointVec:
-        return X
 
 
 class RetractAction:
@@ -484,14 +486,10 @@ class RetractAction:
     def combine(self, weights, points, check: bool = True) -> PointVec:
         return retract_combine(self.pair, weights, points, check=check)
 
-    def canonicalize_point(self, X: PointVec) -> PointVec:
-        return self.pair.project_chart(X)
-
 
 # A handle has ``kind``, ``order``, ``dim``, ``membership_violation(points)``,
 # ``combiner(points)`` (weights -> point: the tuple's weight-independent work done
-# once, nothing raised until called), ``combine(weights, points, check)`` and
-# ``canonicalize_point(X)``.
+# once, nothing raised until called) and ``combine(weights, points, check)``.
 ActionHandle = Union[CanonicalAction, ConnectionAction, RetractAction]
 
 
@@ -563,74 +561,9 @@ def check_axioms(
     return report
 
 
-def induced_connection_check(
-    handle: ActionHandle, base=None, name_prefix: str = "induced"
-) -> CheckReport:
-    """Verify that weights (-1, 1, 1) acting on (P, Q, S) behave like the
-    parallelogram completion on generic first-order neighbors.
-
-    Builds P, Q = P + u, S = P + v over fresh cap-1 blocks (pushed onto the
-    retract when the handle needs it), then checks the unit laws, exchange
-    symmetry, membership of the triple, and -- for connection handles --
-    agreement with ``connection_apply``.
-    """
-    if handle.order < 2:
-        raise WeilError("the parallelogram action needs a second-order handle")
-    n = handle.dim
-    base = _lift_base(base, n)
-    ctx = make_truncated_context([("u", n, 1), ("v", n, 1)])
-    B = ctx.point(base)
-    U = PointVec(ctx, tuple(ctx.gen(a) for a in range(n)))
-    V = PointVec(ctx, tuple(ctx.gen(n + a) for a in range(n)))
-    P = handle.canonicalize_point(B)
-    Q = handle.canonicalize_point(B + U)
-    S = handle.canonicalize_point(B + V)
-    w = AffineWeights((Fraction(-1), Fraction(1), Fraction(1)))
-    report = CheckReport()
-    report.run(
-        f"{name_prefix}/triple-membership",
-        "membership",
-        lambda: handle.membership_violation([P, Q, S]),
-    )
-    report.run(
-        f"{name_prefix}/left-identity",
-        "identity",
-        lambda: difference_witness(
-            handle.combine(w, [P, Q, P]), Q, "combine(-1,1,1)(P,Q,P) - Q"
-        ),
-    )
-    report.run(
-        f"{name_prefix}/right-identity",
-        "identity",
-        lambda: difference_witness(
-            handle.combine(w, [P, P, S]), S, "combine(-1,1,1)(P,P,S) - S"
-        ),
-    )
-    report.run(
-        f"{name_prefix}/exchange-symmetry",
-        "symmetry",
-        lambda: difference_witness(
-            handle.combine(w, [P, Q, S]),
-            handle.combine(w, [P, S, Q]),
-            "combine(P,Q,S) - combine(P,S,Q)",
-        ),
-    )
-    if isinstance(handle, ConnectionAction):
-        report.run(
-            f"{name_prefix}/parallelogram-consistency",
-            "consistency",
-            lambda: difference_witness(
-                handle.combine(w, [P, Q, S]),
-                connection_apply(handle.connection, P, Q, S, check=False),
-                "combine - parallelogram",
-            ),
-        )
-    return report
-
-
 def check_pullback_lemma(
     c: Connection,
-    iota: PolyMap,
+    iota: AnyMap,
     points: Sequence[PointVec],
     weight_families: Sequence,
     name_prefix: str = "pullback",
@@ -657,7 +590,7 @@ def check_pullback_lemma(
     return report
 
 
-def _pullback_combiners(c: Connection, iota: PolyMap, points: Sequence[PointVec]) -> tuple:
+def _pullback_combiners(c: Connection, iota: AnyMap, points: Sequence[PointVec]) -> tuple:
     """The two sides of the pullback lemma: the combiner of ``points`` with the
     pulled-back map at P1, and that of their images with G at iota(P1)."""
     Gt = pullback_connection(c, iota, points[0])
@@ -680,17 +613,15 @@ def check_idempotent_identities(
     """
     n = rp.ambient_dim
     base = _lift_base(base, n)
-    value, tensors = point_jet(rp.idempotent_eval, base, n, 2)
-    Jac = [[tensors[1][(i, (a,))] for a in range(n)] for i in range(n)]
-
-    def hess(i: int, a: int, b: int) -> Fraction:
-        return tensors[2][(i, (a, b) if a <= b else (b, a))]
+    value, Jac, Hess = _two_jet(rp.idempotent_eval, make_truncated_context([]).point(base))
+    Jac = [[x.constant_term for x in row] for row in Jac]
+    Hess = [[[x.constant_term for x in row] for row in block] for block in Hess]
 
     report = CheckReport()
 
     def fixed_point():
         for i in range(n):
-            d = value[i] - base[i]
+            d = value[i].constant_term - base[i]
             if d:
                 return Witness(f"(e(P) - P)[{i + 1}]", "1", d)
         return None
@@ -699,10 +630,9 @@ def check_idempotent_identities(
 
     # De and D2e as integers over the lcm of their denominators: J = L·De,
     # H = L·D2e (all index orders)
-    L = math.lcm(*[q.denominator for l in (1, 2) for q in tensors[l].values()])
+    L = math.lcm(*[q.denominator for matrix in (Jac, *Hess) for row in matrix for q in row])
     J = [[q.numerator * (L // q.denominator) for q in row] for row in Jac]
-    H = [[[(q := hess(i, a, b)).numerator * (L // q.denominator) for b in range(n)]
-          for a in range(n)] for i in range(n)]
+    H = [[[q.numerator * (L // q.denominator) for q in row] for row in block] for block in Hess]
 
     def jacobian_idempotent():
         # L²·(De·De - De)
@@ -743,7 +673,7 @@ def check_idempotent_identities(
 
     # over a <= b with the entry doubled off the diagonal, so each product
     # v[a]·v[b] is built once
-    hess_rows = [{(a, b): hess(p, a, b) * (1 if a == b else 2)
+    hess_rows = [{(a, b): Hess[p][a][b] * (1 if a == b else 2)
                   for a in range(n) for b in range(a, n)} for p in range(n)]
     jac_rows = [{(p,): Jac[i][p] for p in range(n)} for i in range(n)]
 

@@ -1,9 +1,9 @@
-"""Maps between coordinate spaces over a context, and their derivatives.
+"""Maps between coordinate spaces over a context, and their jets.
 
 Two map flavours share one evaluation interface:
 
 * :class:`PolyMap`  -- componentwise sparse polynomials over Q; supports
-  symbolic differentiation, composition and exact Taylor expansion.
+  composition by substitution.
 * :class:`ExprMap`  -- componentwise closed-form expression trees that may
   also divide by units and take square roots, evaluated directly in the
   algebra (division and roots stay exact on nilpotent arguments).
@@ -12,7 +12,7 @@ A :class:`Poly` stores its terms as a :class:`~weilaff.weil.WeilElement`
 does, so its arithmetic runs on ints and builds no ``Fraction``.  It shares
 the kernel's helpers for common denominators, lowest terms and linear
 combinations, not its products: a polynomial has no caps or relations.
-It adds, multiplies, differentiates and substitutes, but does
+It adds, multiplies and substitutes, but does
 not evaluate itself: a :class:`PolyMap` keeps each component as a row of
 index tuples with one ``(variable, exponent)`` slot per variable (x0²·x2 is
 ((0, 2), (2, 1))), and :func:`eval_map` evaluates them all in one
@@ -20,41 +20,34 @@ index tuples with one ``(variable, exponent)`` slot per variable (x0²·x2 is
 times one power.  Each power is computed once per call, by repeated
 squaring, so a term of degree e costs O(log e) products.
 
-Derivatives of an :class:`ExprMap` at a rational point are still available
-through :func:`point_jet`, which reads Taylor coefficients off one exact
-evaluation at ``P + d`` in a fresh nilpotent block.
+Derivatives have one path, :func:`jet`: the Taylor coefficients of one
+evaluation at ``P + d``, ``d`` a fresh nilpotent block adjoined to the
+context of ``P``, for every map flavour and at any point, rational or not.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import math
 from fractions import Fraction
 from operator import add as _add
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .weil import (
     PointVec,
     Record,
     Scalar,
-    WeilContext,
     WeilElement,
     WeilError,
+    _adjoin,
     _as_fraction,
     _contract,
     _lowest_terms,
     _over_common_denominator,
     _set_field,
+    _split,
     _sum_scaled,
     invert,
-    make_truncated_context,
 )
 from .weil import sqrt as weil_sqrt
-from .neighborhoods import _lift_base, in_D_k
-
-#: hard bound on the Taylor truncation order accepted by :func:`taylor_eval`
-MAX_TAYLOR_ORDER = 4
 
 
 class DimensionMismatchError(WeilError):
@@ -213,16 +206,6 @@ class Poly:
 
     def constant_value(self) -> Fraction:
         return Fraction(self._num.get((0,) * self.nvars, 0), self.den)
-
-    def diff(self, i: int) -> "Poly":
-        """Partial derivative with respect to variable ``i``."""
-        # lowering exponent i by one is injective, so no two terms collide
-        out = {}
-        for m, c in self._num.items():
-            e = m[i]
-            if e:
-                out[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
-        return Poly._of(self.nvars, *_lowest_terms(out, self.den))
 
     def substitute(self, args: Sequence["Poly"]) -> "Poly":
         """Plug a polynomial in for each variable (simultaneous substitution)."""
@@ -485,118 +468,28 @@ def compose(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap(g.in_dim, f.out_dim, comps)
 
 
-class DerivativeTensor:
-    """Order-l symmetric derivative data of a map at a base point.
+def jet(f, P: PointVec, order: int) -> list:
+    """The Taylor coefficients of ``f`` at ``P`` up to ``order``, exactly.
 
-    ``entry(i, idx)`` is the mixed partial of component ``i`` with respect to
-    the (unordered) coordinate multi-index ``idx``, evaluated at the base.
+    Adjoins a fresh block d of ``P.dim`` generators capped at ``order`` to
+    P's context and evaluates f(P + d) once, by :func:`eval_map` for a
+    PolyMap or ExprMap and by ``f`` itself for any other callable on points:
+    evaluation in A ⊗ Q[d]/(d)^(order+1), a Weil functor (Kolář, Michor and
+    Slovák 1993, ch. VIII), which is truncated Taylor arithmetic (Griewank
+    and Walther, "Evaluating Derivatives", 2008).  Division and square roots
+    stay exact because d is nilpotent, and P may be any point.
+
+    Returns one dict per output of ``f``, from each exponent tuple a over the
+    ``P.dim`` coordinates, |a| <= order, to the coefficient of d^a: ∂^a f_i(P)
+    / a! as an element of P's context.  Zero coefficients are absent, and
+    a = (0, ..., 0) holds f_i(P).
     """
-
-    __slots__ = ("order", "base", "in_dim", "out_dim", "_entries", "_rows")
-
-    def __init__(self, order: int, base: PointVec, in_dim: int, out_dim: int, entries: dict):
-        self.order = order
-        self.base = base
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self._entries = entries
-        # one contraction row per output over the ordered grids, zero entries left out
-        grids = list(itertools.product(range(in_dim), repeat=order))
-        self._rows = [
-            {g: x for g in grids if (x := entries[i, tuple(sorted(g))])._num}
-            for i in range(out_dim)
-        ]
-
-    def entry(self, i: int, idx: Sequence[int]) -> WeilElement:
-        return self._entries[(i, tuple(sorted(idx)))]
-
-    def apply(self, vectors: Sequence[PointVec]) -> PointVec:
-        """Contract against ``order`` many vectors (full symmetric contraction)."""
-        if len(vectors) != self.order:
-            raise WeilError(f"tensor of order {self.order} applied to {len(vectors)} vectors")
-        for v in vectors:
-            if v.dim != self.in_dim:
-                raise DimensionMismatchError("vector dimension mismatch in contraction")
-        ctx = vectors[0].context if vectors else self.base.context
-        return PointVec(ctx, tuple(_contract(ctx, self._rows, [v.coords for v in vectors])))
-
-    def as_matrix(self) -> list:
-        """Order-1 tensors as a Jacobian matrix (rows: outputs, cols: inputs)."""
-        if self.order != 1:
-            raise WeilError("as_matrix is only defined for first derivatives")
-        return [
-            [self.entry(i, (a,)) for a in range(self.in_dim)] for i in range(self.out_dim)
-        ]
-
-
-def derivative_tensor(f: PolyMap, Q: PointVec, order: int) -> DerivativeTensor:
-    """Symbolic order-``order`` derivative tensor of a polynomial map at ``Q``."""
-    if not isinstance(f, PolyMap):
-        raise WeilError("symbolic derivatives need a PolyMap; use point_jet for closed forms")
-    if Q.dim != f.in_dim:
-        raise DimensionMismatchError("base point dimension mismatch")
     if order < 1:
-        raise WeilError("derivative order must be at least 1")
-    keys = [(i, idx) for i in range(f.out_dim)
-            for idx in itertools.combinations_with_replacement(range(f.in_dim), order)]
-    polys = [functools.reduce(Poly.diff, idx, f.components[i]) for i, idx in keys]
-    entries = dict(zip(keys, eval_map(PolyMap(f.in_dim, len(polys), polys), Q)))
-    return DerivativeTensor(order, Q, f.in_dim, f.out_dim, entries)
-
-
-def taylor_eval(f: PolyMap, Q: PointVec, d: PointVec, k: int) -> PointVec:
-    """f(Q + d) computed as the order-k Taylor polynomial at Q.
-
-    Exact whenever ``d`` is a k-th order infinitesimal (checked): the dropped
-    terms contract k+1 or more coordinates of ``d`` and therefore vanish.
-    """
-    if k < 1:
-        raise WeilError("Taylor order must be at least 1")
-    if k > MAX_TAYLOR_ORDER:
-        raise WeilError(f"Taylor order {k} exceeds the configured bound {MAX_TAYLOR_ORDER}")
-    if not in_D_k(d, k):
-        raise WeilError(f"displacement is not in D_{k}; Taylor truncation would be lossy")
-    acc = eval_map(f, Q)
-    for order in range(1, k + 1):
-        tensor = derivative_tensor(f, Q, order)
-        inc = tensor.apply([d] * order)
-        scale = Fraction(1, math.factorial(order))
-        acc = PointVec(acc.context, tuple(a + c * scale for a, c in zip(acc, inc)))
-    return acc
-
-
-def point_jet(f, base: Sequence[Scalar], in_dim: int, order: int):
-    """Exact derivatives of any map at a rational point, by nilpotent evaluation.
-
-    Evaluates ``f(base + d)`` with ``d`` a fresh cap-``order`` block and reads
-    the Taylor coefficients off the normal form.  Returns ``(value, tensors)``
-    where ``value`` is a tuple of Fractions and ``tensors[l]`` (l = 1..order)
-    maps ``(i, sorted_multi_index)`` to the mixed partial as a Fraction.
-
-    ``f`` may be a PolyMap, an ExprMap, or any callable on points.
-    Division/sqrt stay exact because the displacement is nilpotent.
-    """
-    base = _lift_base(base, in_dim)
-    ctx = make_truncated_context([("d", in_dim, order)])
-    X = PointVec(ctx, tuple(ctx.scalar(b) + ctx.gen(a) for a, b in enumerate(base)))
+        raise WeilError("jet order must be at least 1")
+    ctx, n = P.context, P.dim
+    big, lift = _adjoin(ctx, n, order)
+    gens = big.gens()[ctx.ngens:]
+    X = PointVec(big, tuple(lift(x) + d for x, d in zip(P.coords, gens)))
     Y = eval_map(f, X) if isinstance(f, (PolyMap, ExprMap)) else f(X)
-    value = tuple(y.constant_term for y in Y)
-    tensors: dict = {l: {} for l in range(1, order + 1)}
-    for i, y in enumerate(Y):
-        for mono, c in y.coeffs.items():
-            l = sum(mono)
-            if not l:
-                continue
-            idx = []
-            factor = 1
-            for a, e in enumerate(mono):
-                idx.extend([a] * e)
-                factor *= math.factorial(e)
-            tensors[l][(i, tuple(idx))] = c * factor
-    # absent mixed partials are zero
-    out_dim = len(value)
-    for l in range(1, order + 1):
-        for i in range(out_dim):
-            for idx in itertools.combinations_with_replacement(range(in_dim), l):
-                tensors[l].setdefault((i, idx), Fraction(0))
-    return value, tensors
+    return [_split(y, ctx) for y in Y]
+

@@ -207,6 +207,8 @@ class WeilContext:
         self.names = names
         self.blocks = blocks
         self.relations = relations
+        # the caps' bound: every monomial of higher total degree vanishes
+        # (relations may kill every one from a lower degree on: ``_top``)
         self.degree_cap = cap = sum(b.cap for b in blocks)
         # a block cap at the total cap kills nothing the total cap keeps, so
         # only the lower ones are ever tested
@@ -282,20 +284,13 @@ class WeilContext:
 
     def __repr__(self):
         return (
-            f"<WeilContext gens={self.ngens} cap={self.max_degree} "
+            f"<WeilContext gens={self.ngens} cap={self.degree_cap} "
             f"relations={len(self.relations)}>"
         )
 
     @property
     def ngens(self) -> int:
         return len(self.names)
-
-    @property
-    def max_degree(self) -> int:
-        """The caps' bound: every monomial of higher total degree vanishes.
-        Relations may kill every monomial from a lower degree on;
-        :meth:`vanishes_from` gives that degree exactly."""
-        return self.degree_cap
 
     def vanishes_from(self, degree: int) -> bool:
         """True when every monomial of total degree ``degree`` is zero in the
@@ -765,6 +760,40 @@ def make_quotient_context(
     return _intern(names, (block,), _clean_relations(relations, len(names)))
 
 
+def _adjoin(ctx: WeilContext, count: int, cap: int) -> tuple:
+    """``(context, lift)``: the live context of ``ctx`` with a block ``∂`` of
+    ``count`` fresh generators capped at ``cap`` after its own (no scenario
+    names a block ``∂``, which is not a letter), and the map of the elements
+    of ``ctx`` into it.  Its relations are those of ``ctx``, zero on the new
+    generators, so their multiples span the direct sum, over the monomials
+    of the new generators, of their span in ``ctx`` times the monomial: a
+    normal form of ``ctx`` stays one."""
+    pad = (0,) * count
+    big = _intern(
+        ctx.names + tuple(f"∂{i}" for i in range(1, count + 1)),
+        ctx.blocks + (Block("∂", ctx.ngens, count, cap),),
+        tuple({m + pad: c for m, c in rel.items()} for rel in ctx.relations),
+    )
+    unpack, pack = ctx._unpack, big._pack
+
+    def lift(x: WeilElement) -> WeilElement:
+        return WeilElement(big, {pack(unpack(m) + pad): c for m, c in x._num.items()}, x.den)
+
+    return big, lift
+
+
+def _split(x: WeilElement, ctx: WeilContext) -> dict:
+    """An element of a context :func:`_adjoin` built on ``ctx`` as ``{exponents
+    of the adjoined generators: nonzero coefficient in ctx}``; the coefficients
+    of a normal form are normal forms (see :func:`_adjoin`)."""
+    n, unpack, pack = ctx.ngens, x.context._unpack, ctx._pack
+    parts = {}
+    for m, c in x._num.items():
+        mono = unpack(m)
+        parts.setdefault(mono[n:], {})[pack(mono[:n])] = c
+    return {tail: WeilElement(ctx, *_lowest_terms(num, x.den)) for tail, num in parts.items()}
+
+
 class WeilElement:
     """An immutable element ``num / den`` of a :class:`WeilContext`.
 
@@ -1017,7 +1046,7 @@ def invert(x: WeilElement) -> WeilElement:
     """Multiplicative inverse; requires a nonzero constant term.
 
     Uses the finite geometric series 1/(c+n) = sum_i (-1)^i n^i / c^(i+1),
-    which terminates because the nilpotent part n dies past the degree cap:
+    which terminates because the nilpotent part n dies past the top degree:
     one product per power of n, the rational factors as weights of one
     :func:`_lincomb`.
     """
@@ -1027,7 +1056,7 @@ def invert(x: WeilElement) -> WeilElement:
     ctx = x.context
     n = x.nilpotent_part()
     powers = [ctx.one(), n]
-    for _ in range(ctx.max_degree - 1):
+    for _ in range(ctx._top - 1):
         p = powers[-1] * n
         if p.is_zero():
             break
@@ -1057,7 +1086,7 @@ def sqrt(x: WeilElement) -> WeilElement:
     term = x.context.one()
     terms = [(root, term)]
     coef = Fraction(1)
-    for i in range(1, x.context.max_degree + 1):
+    for i in range(1, x.context._top + 1):
         coef *= (Fraction(1, 2) - (i - 1)) / i
         term = term * u
         if term.is_zero():
@@ -1108,7 +1137,7 @@ def mat_inverse(M) -> list:
 
     Splits M = C + N with C the rational constant part and N nilpotent, then
     expands M^{-1} = (sum_i B^i) C^{-1} with B = -C^{-1} N; the series
-    terminates at the context's degree cap.  Only the powers B^2, B^3, ...
+    terminates at the context's top degree.  Only the powers B^2, B^3, ...
     take products; C^{-1} enters as rational weights.  Raises
     :class:`SingularMatrixError` when C is singular over Q.
     """
@@ -1129,7 +1158,7 @@ def mat_inverse(M) -> list:
     ]
     # S = B + B^2 + ..., then M^{-1} = C^{-1} + S C^{-1}
     S = term = B
-    for _ in range(ctx.max_degree - 1):
+    for _ in range(ctx._top - 1):
         term = mat_mul(term, B)
         if all(e.is_zero() for row in term for e in row):
             break

@@ -9,6 +9,7 @@ between the two sides is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
@@ -353,6 +354,35 @@ def poly_diff(a: Mapping[Mono, Fraction], i: int) -> Dense:
             key = m[:i] + (m[i] - 1,) + m[i + 1:]
             out[key] = out.get(key, Fraction(0)) + c * m[i]
     return {m: c for m, c in out.items() if c}
+
+
+def symbolic_jet(components: Sequence[Mapping[Mono, Fraction]], coords: Sequence, one,
+                 order: int) -> list:
+    """The Taylor coefficients of a polynomial map at a point, by symbolic
+    differentiation: for each component and each exponent tuple a with
+    |a| <= order, the partial ∂^a of the component over a!, evaluated at
+    ``coords`` by the direct sum of its terms.  Zero coefficients are left
+    out.  Coordinates are anything with ``+``, ``*`` and ``**`` that starts
+    from ``one``, such as algebra elements."""
+    out = []
+    for comp in components:
+        coeffs = {}
+        for a in monomials_up_to(len(coords), order):
+            poly, factor = dict(comp), 1
+            for i, e in enumerate(a):
+                for _ in range(e):
+                    poly = poly_diff(poly, i)
+                factor *= math.factorial(e)
+            value = one * 0
+            for m, c in poly.items():
+                term = one
+                for x, e in zip(coords, m):
+                    term = term * x**e
+                value = value + term * (c / factor)
+            if value != 0:
+                coeffs[a] = value
+        out.append(coeffs)
+    return out
 
 
 def poly_substitute(a: Mapping[Mono, Fraction], args: Sequence[Dense], nvars: int) -> Dense:

@@ -40,7 +40,7 @@ def _render(argv) -> str:
 
 
 def test_scenarios_present():
-    assert len(SCENARIOS) == 5
+    assert len(SCENARIOS) == 6
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])

@@ -19,6 +19,7 @@ from _oracles import (
     contract,
     derivative_identity_witnesses,
     monomials_up_to,
+    poly_diff,
 )
 
 from weilaff import (
@@ -28,6 +29,7 @@ from weilaff import (
     CanonicalAction,
     Connection,
     ConnectionAction,
+    Const,
     Div,
     Mul,
     ExprMap,
@@ -53,12 +55,12 @@ from weilaff import (
     generic_Ak_tuple,
     in_A_k,
     in_D_k,
-    induced_connection_check,
     make_truncated_context,
     pullback_connection,
     retract_combine,
     weighted_point_sum,
 )
+from weilaff import iaffine
 from weilaff.iaffine import _bilinear_combiner, _pullback_combiners
 from weilaff.report import CheckReport
 from weilaff.weil import SingularMatrixError
@@ -470,6 +472,45 @@ def test_pullback_lemma_quadratic_chart():
     assert [e.status for e in rep.entries] == ["pass"] * len(rep.entries)
 
 
+def closed_chart():
+    """(x, y) -> (x/(1+y), y + sqrt(x^2 + 3)): at (1, 2) the root is 2 and
+    the Jacobian has determinant 7/18."""
+    x, y = Var(0), Var(1)
+    one, three = Const(Fraction(1)), Const(Fraction(3))
+    return ExprMap(2, 2, (Div(x, Add(one, y)), Add(y, Sqrt(Add(Mul(x, x), three)))))
+
+
+def curved_connection():
+    x, y = xy_polys()
+    return Connection(2, {(0, 0, 0): x + y, (0, 0, 1): 3, (1, 1, 1): x * x})
+
+
+CHART_FAMILIES = [(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), (-1, 1, 1)]
+
+
+def test_pullback_lemma_closed_form_chart():
+    # at the rational point and at a point with nilpotent parts
+    _, pts = generic_Ak_tuple(2, 2, 3, base=(1, 2))
+    for tuple_ in (pts, pts[1:] + pts[:1]):
+        rep = check_pullback_lemma(curved_connection(), closed_chart(), tuple_, CHART_FAMILIES)
+        assert [e.status for e in rep.entries] == ["pass"] * 3
+
+
+def test_pullback_without_the_hessian_fails_with_a_witness(monkeypatch):
+    # control: the pulled-back map without its d^2 iota term breaks transport
+    two_jet = iaffine._two_jet
+
+    def no_hessian(f, P):
+        value, J, H = two_jet(f, P)
+        return value, J, [[[P.context.zero()] * len(row) for row in block] for block in H]
+
+    monkeypatch.setattr(iaffine, "_two_jet", no_hessian)
+    _, pts = generic_Ak_tuple(2, 2, 3, base=(1, 2))
+    rep = check_pullback_lemma(curved_connection(), closed_chart(), pts, CHART_FAMILIES)
+    failed = [e for e in rep.entries if e.status == "fail"]
+    assert failed and all(e.kind == "transport" and e.witness["monomial"] for e in failed)
+
+
 # -- retracts ----------------------------------------------------------------------------
 
 
@@ -615,9 +656,6 @@ def test_axioms_fail_with_witness_on_broken_action():
         def combiner(self, points):
             return lambda weights: self.combine(weights, points)
 
-        def canonicalize_point(self, X):
-            return X
-
     _, pts = generic_Ak_tuple(2, 2, 3)
     fams = [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), (-1, 1, 1)]
     rep = check_axioms(DropSubtraction(), pts, fams, outer=(Fraction(2, 5), Fraction(3, 5)))
@@ -742,30 +780,45 @@ def test_retract_axioms_embed_each_point_once_for_all_combines(monkeypatch):
     assert [embedded[id(P)] for P in pts] == [2, 2, 2]
 
 
-# -- induced parallelogram action --------------------------------------------------------
+# -- the parallelogram laws of the weights (-1, 1, 1) -------------------------------------
+
+
+def parallelogram_triple(n, base, push=lambda X: X):
+    """push(B), push(B + u), push(B + v) for generic first-order u and v in
+    two cap-1 blocks."""
+    ctx = make_truncated_context([("u", n, 1), ("v", n, 1)])
+    B = ctx.point(base)
+    gens = ctx.gens()
+    return push(B), push(B + PointVec(ctx, gens[:n])), push(B + PointVec(ctx, gens[n:]))
+
+
+def assert_parallelogram_laws(handle, P, Q, S):
+    """The weights (-1, 1, 1) on a triple of the handle's neighbourhood obey
+    the unit laws and exchange symmetry."""
+    w = (-1, 1, 1)
+    assert handle.membership_violation([P, Q, S]) is None
+    assert handle.combine(w, [P, Q, P]) == Q
+    assert handle.combine(w, [P, P, S]) == S
+    assert handle.combine(w, [P, Q, S]) == handle.combine(w, [P, S, Q])
 
 
 def test_induced_check_canonical():
-    rep = induced_connection_check(CanonicalAction(2, 2))
-    assert_all_pass(rep)
+    assert_parallelogram_laws(CanonicalAction(2, 2), *parallelogram_triple(2, (0, 0)))
 
 
 def test_induced_check_connection_recovers_apply():
     x, y = xy_polys()
     conn = Connection(2, {(0, 0, 1): x, (1, 0, 0): y + Poly.constant(2, 2)})
-    rep = induced_connection_check(ConnectionAction(conn), base=(1, -1))
-    assert_all_pass(rep)
-    assert any(e.name.endswith("parallelogram-consistency") for e in rep.entries)
+    P, Q, S = parallelogram_triple(2, (1, -1))
+    assert_parallelogram_laws(ConnectionAction(conn), P, Q, S)
+    assert connection_combine(conn, (-1, 1, 1), [P, Q, S]) == connection_apply(conn, P, Q, S)
 
 
 def test_induced_check_retract_circle():
-    rep = induced_connection_check(RetractAction(circle_pair()), base=(Fraction(3, 5), Fraction(4, 5)))
-    assert_all_pass(rep)
-
-
-def test_induced_check_needs_second_order():
-    with pytest.raises(WeilError):
-        induced_connection_check(CanonicalAction(2, 1))
+    # r(-P + Q + S) on points pushed onto the circle by r
+    rp = circle_pair()
+    triple = parallelogram_triple(2, (Fraction(3, 5), Fraction(4, 5)), rp.retract)
+    assert_parallelogram_laws(RetractAction(rp), *triple)
 
 
 # -- idempotent derivative identities ----------------------------------------------------
@@ -850,8 +903,10 @@ def test_idempotent_identities_match_the_direct_sums(data):
     coef = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(1, 3)])
     comps = [Poly(n, data.draw(st.dictionaries(st.sampled_from(monos), coef, max_size=4)))
              for _ in range(n)]
-    J = [[p.diff(a).constant_value() for a in range(n)] for p in comps]
-    H = [[[p.diff(a).diff(b).constant_value() for b in range(n)] for a in range(n)] for p in comps]
+    zero = (0,) * n
+    J = [[poly_diff(p.terms, a).get(zero, 0) for a in range(n)] for p in comps]
+    H = [[[poly_diff(poly_diff(p.terms, a), b).get(zero, 0) for b in range(n)] for a in range(n)]
+         for p in comps]
     want = derivative_identity_witnesses(J, H)
     rep = check_idempotent_identities(RetractPair.from_idempotent(PolyMap(n, n, comps)), (0,) * n)
     by_name = {entry.name.split("/")[-1]: entry for entry in rep.entries}

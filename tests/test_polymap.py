@@ -1,4 +1,4 @@
-"""Polynomial/expression maps: evaluation, composition, derivatives, Taylor."""
+"""Polynomial/expression maps: evaluation, composition, jets, Taylor."""
 
 import itertools
 import math
@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weilaff import (
     Add,
@@ -24,14 +24,15 @@ from weilaff import (
     Sub,
     Var,
     WeilError,
+    build_env,
     compose,
-    derivative_tensor,
     eval_map,
     expr_to_poly,
     generic_Dk_vector,
+    generic_nilsquare_tuple,
+    jet,
     make_truncated_context,
-    point_jet,
-    taylor_eval,
+    parse_scenario,
 )
 
 from _oracles import (
@@ -48,6 +49,7 @@ from _oracles import (
     poly_pow,
     poly_scale,
     poly_substitute,
+    symbolic_jet,
 )
 
 
@@ -71,7 +73,7 @@ def test_eval_map_is_the_sum_of_coefficients_times_powers(data):
     """Against dense arithmetic: component j at P is the sum of c * prod P[i]**e."""
     n, out_dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
     c = make_truncated_context([("e", 2, data.draw(st.integers(1, 3)))])
-    ngens, cap = c.ngens, c.max_degree
+    ngens, cap = c.ngens, c.degree_cap
     gens = [(0,) * ngens] + [tuple(int(i == g) for i in range(ngens)) for g in range(ngens)]
     coord = st.dictionaries(st.sampled_from(gens), _Q, max_size=3).map(c.element)
     P = PointVec(c, tuple(data.draw(coord) for _ in range(n)))
@@ -93,7 +95,7 @@ def test_eval_cube_against_dense_oracle():
     cube = PolyMap(1, 1, [Poly(1, {(3,): Fraction(1)})])
     P = PointVec(c, (c.one() + c.gen(0),))
     out = eval_map(cube, P)
-    want = dense_pow(as_dense(P[0]), 3, c.max_degree, c.ngens)
+    want = dense_pow(as_dense(P[0]), 3, c.degree_cap, c.ngens)
     assert as_dense(out[0]) == want
     assert out[0] == c.one() + c.gen(0) * 3 + c.gen(0) * c.gen(0) * 3
 
@@ -149,7 +151,6 @@ def test_integer_poly_matches_the_fraction_oracle(data):
     A, B = poly_clean(n, ta), poly_clean(n, tb)
     q = data.draw(_COEF)
     e = data.draw(st.integers(0, 4))
-    i = data.draw(st.integers(0, n - 1))
     m = data.draw(st.integers(1, 3))
     targs = [data.draw(_terms(m)) for _ in range(n)]
     cases = [
@@ -166,7 +167,6 @@ def test_integer_poly_matches_the_fraction_oracle(data):
         (a * Poly.constant(n, q), poly_scale(A, q)),
         (Poly.constant(n, q) * a, poly_scale(A, q)),
         (a**e, poly_pow(A, e, n)),
-        (a.diff(i), poly_diff(A, i)),
         (a.substitute([Poly(m, t) for t in targs]),
          poly_substitute(A, [poly_clean(m, t) for t in targs], m)),
     ]
@@ -267,66 +267,92 @@ def test_compose_rejects_closed_forms():
         compose(square(), root)
 
 
-# -- derivative tensors ------------------------------------------------------------------
+# -- jets ----------------------------------------------------------------------------------
 
 
 def _f_xy_x2() -> PolyMap:
     return PolyMap(2, 2, [Poly(2, {(1, 1): Fraction(1)}), Poly(2, {(2, 0): Fraction(1)})])
 
 
+def _partials(y: dict, n: int, ctx, order: int) -> dict:
+    """The mixed partials of one jet output by sorted index tuple: a! times
+    the coefficient of d^a, zero where the jet has none."""
+    out = {}
+    for idx in itertools.combinations_with_replacement(range(n), order):
+        a = tuple(idx.count(i) for i in range(n))
+        c = y.get(a, ctx.zero())
+        out[idx] = c * math.prod(math.factorial(e) for e in a)
+    return out
+
+
+def _taylor(jets, d: PointVec, k: int) -> PointVec:
+    """The order-k Taylor polynomial of a jet at the displacement d."""
+    ctx = d.context
+    out = []
+    for y in jets:
+        acc = ctx.zero()
+        for a, c in y.items():
+            if sum(a) <= k:
+                term = ctx.one()
+                for x, e in zip(d, a):
+                    term = term * x**e
+                acc = acc + term * c
+        out.append(acc)
+    return PointVec(ctx, tuple(out))
+
+
 def test_first_derivative_entries():
     c = make_truncated_context([])
-    Q = c.point((5, 7))
-    J = derivative_tensor(_f_xy_x2(), Q, 1)
-    assert J.entry(0, (0,)) == c.scalar(7)
-    assert J.entry(0, (1,)) == c.scalar(5)
-    assert J.entry(1, (0,)) == c.scalar(10)
-    assert J.entry(1, (1,)) == c.scalar(0)
+    J = [_partials(y, 2, c, 1) for y in jet(_f_xy_x2(), c.point((5, 7)), 1)]
+    assert J[0][(0,)] == c.scalar(7)
+    assert J[0][(1,)] == c.scalar(5)
+    assert J[1][(0,)] == c.scalar(10)
+    assert J[1][(1,)] == c.scalar(0)
 
 
 def test_second_derivative_mixed_partial():
     c = make_truncated_context([])
-    H = derivative_tensor(_f_xy_x2(), c.point((0, 0)), 2)
-    assert H.entry(0, (0, 1)) == c.scalar(1)
-    assert H.entry(0, (1, 0)) == c.scalar(1)  # symmetric access
-    assert H.entry(1, (0, 0)) == c.scalar(2)
+    y0, y1 = jet(_f_xy_x2(), c.point((0, 0)), 2)
+    # one coefficient per monomial d1·d2, whichever order the partials take
+    assert _partials(y0, 2, c, 2)[(0, 1)] == c.scalar(1)
+    assert y0 == {(1, 1): c.one()}
+    assert _partials(y1, 2, c, 2)[(0, 0)] == c.scalar(2)
 
 
 def test_derivative_beyond_degree_is_zero():
     c = make_truncated_context([])
-    T = derivative_tensor(_f_xy_x2(), c.point((3, 4)), 3)
-    for i in range(2):
-        for idx in itertools.combinations_with_replacement(range(2), 3):
-            assert T.entry(i, idx).is_zero()
+    for y in jet(_f_xy_x2(), c.point((3, 4)), 3):
+        assert all(sum(a) <= 2 for a in y)
 
 
 def test_derivative_symmetry_on_random_maps():
+    # the symbolic partials in either order are the jet's one coefficient
     rng = random.Random(11)
     c = make_truncated_context([])
     for _ in range(5):
-        f = PolyMap(
-            2,
-            1,
-            [
-                Poly(
-                    2,
-                    {
-                        m: Fraction(rng.randint(-2, 2))
-                        for m in itertools.product(range(4), repeat=2)
-                        if sum(m) <= 3
-                    },
-                )
-            ],
-        )
-        Q = c.point((rng.randint(-2, 2), rng.randint(-2, 2)))
-        T = derivative_tensor(f, Q, 2)
-        for idx in itertools.product(range(2), repeat=2):
-            assert T.entry(0, idx) == T.entry(0, tuple(reversed(idx)))
+        terms = {
+            m: Fraction(rng.randint(-2, 2))
+            for m in itertools.product(range(4), repeat=2)
+            if sum(m) <= 3
+        }
+        f = PolyMap(2, 1, [Poly(2, terms)])
+        base = (rng.randint(-2, 2), rng.randint(-2, 2))
+        (y,) = jet(f, c.point(base), 2)
+        got = _partials(y, 2, c, 2)[(0, 1)]
+        for first, second in ((0, 1), (1, 0)):
+            mixed = poly_diff(poly_diff(poly_clean(2, terms), first), second)
+            want = sum((q * base[0] ** m[0] * base[1] ** m[1] for m, q in mixed.items()),
+                       Fraction(0))
+            assert got == c.scalar(want)
 
 
 def test_chain_rule_first_order():
     rng = random.Random(23)
     c = make_truncated_context([])
+
+    def jacobian(f, P):
+        return [_partials(y, 2, c, 1) for y in jet(f, P, 1)]
+
     for _ in range(5):
         def rp():
             return Poly(
@@ -341,17 +367,17 @@ def test_chain_rule_first_order():
         g = PolyMap(2, 2, [rp(), rp()])
         f = PolyMap(2, 2, [rp(), rp()])
         Q = c.point((rng.randint(-1, 1), rng.randint(-1, 1)))
-        gQ = eval_map(g, Q)
-        Jg = derivative_tensor(g, Q, 1)
-        Jf = derivative_tensor(f, gQ, 1)
-        Jc = derivative_tensor(compose(f, g), Q, 1)
+        Jg, Jf, Jc = jacobian(g, Q), jacobian(f, eval_map(g, Q)), jacobian(compose(f, g), Q)
         for i in range(2):
             for j in range(2):
-                want = sum(
-                    (Jf.entry(i, (a,)) * Jg.entry(a, (j,)) for a in range(2)),
-                    c.zero(),
-                )
-                assert Jc.entry(i, (j,)) == want
+                want = sum((Jf[i][(a,)] * Jg[a][(j,)] for a in range(2)), c.zero())
+                assert Jc[i][(j,)] == want
+
+
+def test_jet_order_must_be_positive():
+    c = make_truncated_context([])
+    with pytest.raises(WeilError):
+        jet(square(), c.point((1,)), 0)
 
 
 # -- Taylor representation -----------------------------------------------------------------
@@ -361,7 +387,7 @@ def test_taylor_matches_eval_cap_one():
     c = make_truncated_context([("e", 1, 1)])
     Q = c.point((1,))
     d = PointVec(c, (c.gen(0),))
-    got = taylor_eval(square(), Q, d, 1)
+    got = _taylor(jet(square(), Q, 1), d, 1)
     assert got == eval_map(square(), Q + d)
     assert got[0] == c.one() + c.gen(0) * 2
 
@@ -371,7 +397,7 @@ def test_taylor_drops_cubic_term_exactly():
     cube = PolyMap(1, 1, [Poly(1, {(3,): Fraction(1)})])
     Q = c.point((0,))
     d = PointVec(c, (c.gen(0),))
-    got = taylor_eval(cube, Q, d, 2)
+    got = _taylor(jet(cube, Q, 2), d, 2)
     assert got[0].is_zero()
     assert got == eval_map(cube, Q + d)
 
@@ -398,15 +424,18 @@ def test_taylor_exactness_generic():
                     for _ in range(2)
                 ],
             )
-            assert taylor_eval(f, Q, d, k) == eval_map(f, Q + d)
+            assert _taylor(jet(f, Q, k), d, k) == eval_map(f, Q + d)
 
 
-def test_taylor_rejects_non_infinitesimal():
+def test_taylor_truncation_needs_an_infinitesimal():
+    # d is in D_2 but not D_1: the order-1 Taylor polynomial misses d^2,
+    # and the order-2 one is exact
     c = make_truncated_context([("e", 1, 2)])
     Q = c.point((0,))
-    d = PointVec(c, (c.gen(0),))  # in D_2 but not D_1
-    with pytest.raises(WeilError):
-        taylor_eval(square(), Q, d, 1)
+    d = PointVec(c, (c.gen(0),))
+    jets = jet(square(), Q, 2)
+    assert _taylor(jets, d, 1) != eval_map(square(), Q + d)
+    assert _taylor(jets, d, 2) == eval_map(square(), Q + d)
 
 
 def test_first_order_difference_law():
@@ -432,8 +461,72 @@ def test_first_order_difference_law():
             ],
         )
         lhs = eval_map(f, P + d) - eval_map(f, P)
-        rhs = derivative_tensor(f, P, 1).apply([d])
-        assert lhs == rhs
+        jets = [{a: c for a, c in y.items() if sum(a) == 1} for y in jet(f, P, 1)]
+        assert lhs == _taylor(jets, d, 1)
+
+
+# jets at non-rational points: two truncated blocks, a nil-square model, and a
+# scenario's context, whose quotient block's relations keep some degree-2 and
+# degree-3 monomials alive
+_SCENARIO_CONTEXT = """version 1
+block d vars 1 cap 2
+quotient w vars 2 degcap 3 relations { w[1]^2 - w[2]^2, w[1]*w[2]^2 }
+"""
+_JET_CONTEXTS = {
+    "blocks": lambda: make_truncated_context([("a", 2, 1), ("b", 1, 2)]),
+    "nilsquare": lambda: generic_nilsquare_tuple(2, 3)[0],
+    "scenario": lambda: build_env(parse_scenario(_SCENARIO_CONTEXT)).context,
+}
+
+
+def _jet_point(data, ctx, n: int) -> PointVec:
+    """A point whose coordinates are rationals plus random multiples of the
+    generators, some of them nonzero."""
+    units = [tuple(int(i == g) for i in range(ctx.ngens)) for g in range(ctx.ngens)]
+    coords = []
+    for _ in range(n):
+        raw = {(0,) * ctx.ngens: data.draw(_Q)}
+        raw.update(data.draw(st.dictionaries(st.sampled_from(units), _Q, min_size=1, max_size=3)))
+        coords.append(ctx.element(raw))
+    return PointVec(ctx, tuple(coords))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_point_jet_agrees_with_symbolic_derivatives(data):
+    """The jet of a random polynomial map at a point with nilpotent parts,
+    against symbolic differentiation evaluated by direct sums."""
+    ctx = _JET_CONTEXTS[data.draw(st.sampled_from(sorted(_JET_CONTEXTS)))]()
+    n, out_dim = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    order = data.draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    comps = [Poly(n, data.draw(st.dictionaries(exps, _Q, max_size=4))) for _ in range(out_dim)]
+    P = _jet_point(data, ctx, n)
+    want = symbolic_jet([p.terms for p in comps], P.coords, ctx.one(), order)
+    assert jet(PolyMap(n, out_dim, comps), P, order) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_body_has_one_jet_as_expression_and_as_polynomial(data):
+    ctx = _JET_CONTEXTS[data.draw(st.sampled_from(sorted(_JET_CONTEXTS)))]()
+    n, order = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    tree = data.draw(_exprs(n))
+    try:
+        poly = expr_to_poly(tree, n)
+    except ZeroDivisionError:
+        poly = None
+    assume(poly is not None)
+    P = _jet_point(data, ctx, n)
+    assert jet(ExprMap(n, 1, [tree]), P, order) == jet(PolyMap(n, 1, [poly]), P, order)
+
+
+def test_jet_of_a_callable_is_its_jet_as_a_map():
+    f = _f_xy_x2()
+    c = make_truncated_context([("e", 1, 1)])
+    P = c.point((2, 3)) + PointVec(c, (c.gen(0), c.zero()))
+    assert jet(lambda X: eval_map(f, X), P, 2) == jet(f, P, 2)
+    assert jet(f, P, 2)[1][(0, 0)] == (c.scalar(2) + c.gen(0)) ** 2
 
 
 # -- expression maps ------------------------------------------------------------------------
@@ -466,23 +559,3 @@ def test_expr_to_poly_round_trip():
     p = expr_to_poly(node, 2)
     assert p is not None and p.terms == {(2, 0): Fraction(1), (0, 1): Fraction(1)}
     assert expr_to_poly(Sqrt(Var(0)), 1) is None
-
-
-def test_point_jet_agrees_with_symbolic_derivatives():
-    # closed-form route: evaluate f on base + fresh jet generators and read
-    # Taylor coefficients; must match the symbolic tensor entries exactly
-    f = _f_xy_x2()
-    base = (Fraction(2), Fraction(3))
-    value, tensors = point_jet(f, base, 2, 2)
-    c = make_truncated_context([])
-    assert value == eval_map(f, c.point(base)).rational_coords()
-    J = derivative_tensor(f, c.point(base), 1)
-    H = derivative_tensor(f, c.point(base), 2)
-    for i in range(2):
-        for a in range(2):
-            assert tensors[1].get((i, (a,)), Fraction(0)) == J.entry(i, (a,)).constant_term
-            for b in range(a, 2):
-                assert (
-                    tensors[2].get((i, (a, b)), Fraction(0))
-                    == H.entry(i, (a, b)).constant_term
-                )

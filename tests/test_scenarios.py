@@ -19,6 +19,7 @@ EXPECTED = {
     "retract.weil": (14, 0),
     "nilsquare.weil": (4, 0),
     "sharpness.weil": (0, 2),
+    "closed_chart.weil": (6, 0),
 }
 
 

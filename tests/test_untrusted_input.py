@@ -9,7 +9,8 @@ text exits 2 at the position of its first bad byte, and a point nested
 deeper than the interpreter's stack exits 2 at its statement.  A map body
 that chains 1,000 terms or factors evaluates to its value.  A value with
 more digits than CPython converts to a string by default is still reported
-in full.
+in full.  A polynomial body whose expansion could pass the term budget
+exits 2 at its first token before anything is expanded.
 """
 
 import decimal
@@ -131,6 +132,31 @@ def test_blocks_over_the_dimension_budget_are_a_positional_error(
         code = main(argv)
         out = capsys.readouterr()
         assert time.perf_counter() - start < 5
+        assert code == 2 and out.out == ""
+        assert out.err == f"{path}:{position}: {expected}, found {found}\n"
+
+
+@pytest.mark.parametrize("text, position, found", [
+    # 2,001 terms in one variable, 20,301 in two (C(202, 2))
+    ("version 1\nmap f(x) -> 1 { (x + 1)^2000 }\n", "2:17", "("),
+    ("map f(x, y) -> 2 { x, (x + y + 1)^200 }\n", "1:23", "("),
+    # C(52, 50) = 1,326 terms; a power counts when its value is not needed
+    ("connection g dim 2 { GAMMA[1][1,1] = ((x1 + x2 + 1)^50)^0 }\n", "1:38", "("),
+    ("quotient q vars 2 degcap 2 relations { q[1]^2, (q[1] + q[2])^1000 }\n", "1:48", "("),
+    # an exponent of 4,000 digits is counted, never expanded
+    ("map f(x) -> 1 { sqrt(x + 1)^" + "9" * 4000 + " }\n", "1:17", "sqrt"),
+], ids=["one-variable", "two-variables", "gamma", "relation", "huge-exponent"])
+def test_bodies_over_the_term_budget_are_a_positional_error(
+        text, position, found, tmp_path, capsys):
+    path = tmp_path / "big.weil"
+    path.write_text(text)
+    expected = "expected a body within the term budget (1,000 terms when expanded)"
+    for argv in (["check", str(path)], ["check", str(path), "--json"],
+                 ["eval", str(path), "--expr", "1"]):
+        start = time.perf_counter()
+        code = main(argv)
+        out = capsys.readouterr()
+        assert time.perf_counter() - start < 1
         assert code == 2 and out.out == ""
         assert out.err == f"{path}:{position}: {expected}, found {found}\n"
 

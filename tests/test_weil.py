@@ -111,7 +111,7 @@ def test_formatting_matches_the_reported_style():
 
 
 def _elements(ctx):
-    monos = monomials_up_to(ctx.ngens, ctx.max_degree)
+    monos = monomials_up_to(ctx.ngens, ctx.degree_cap)
     coeff = st.fractions(
         min_value=Fraction(-2), max_value=Fraction(2), max_denominator=5
     )
@@ -140,7 +140,7 @@ def test_ring_laws(x, y, z):
 @given(_elements(LAW_CTX), _elements(LAW_CTX))
 def test_mul_against_dense_oracle(x, y):
     got = as_dense(x * y)
-    want = dense_mul(as_dense(x), as_dense(y), LAW_CTX.max_degree)
+    want = dense_mul(as_dense(x), as_dense(y), LAW_CTX.degree_cap)
     assert got == want
 
 
@@ -148,7 +148,7 @@ def test_pow_against_dense_oracle():
     c = ctx2()
     x = c.one() + c.gen(0) + c.gen(1) * Fraction(1, 3)
     for e in range(5):
-        assert as_dense(x**e) == dense_pow(as_dense(x), e, c.max_degree, c.ngens)
+        assert as_dense(x**e) == dense_pow(as_dense(x), e, c.degree_cap, c.ngens)
 
 
 def test_pow_makes_a_square_per_bit_and_a_product_per_set_bit(monkeypatch):
@@ -167,7 +167,7 @@ def test_pow_makes_a_square_per_bit_and_a_product_per_set_bit(monkeypatch):
         products = 0
         got = x**e
         assert products == e.bit_length() - 1 + e.bit_count() - 1, e
-        assert as_dense(got) == dense_pow(as_dense(x), e, c.max_degree, c.ngens)
+        assert as_dense(got) == dense_pow(as_dense(x), e, c.degree_cap, c.ngens)
 
 
 def test_pow_cap_two_example():
@@ -396,7 +396,7 @@ def mixed_member():
 
 def test_mixed_context_monomials_match_oracle(mixed_member):
     c = make_truncated_context(MIXED_BLOCKS, MIXED_RELS)
-    assert c.max_degree == MIXED_CAP
+    assert c.degree_cap == MIXED_CAP
     for mono in monomials_up_to(6, MIXED_CAP):
         el = c.element({mono: Fraction(1)})
         assert el.is_zero() == mixed_member({mono: Fraction(1)}), mono
@@ -501,7 +501,7 @@ def _member(case):
     if case not in _MEMBERS:
         ctx, blocks, rels = KERNEL_CASES[case]
         _MEMBERS[case] = ideal_membership(
-            rels + cap_relations(blocks, ctx.ngens), ctx.ngens, ctx.max_degree
+            rels + cap_relations(blocks, ctx.ngens), ctx.ngens, ctx.degree_cap
         )
     return _MEMBERS[case]
 
@@ -510,7 +510,7 @@ def _oracle_product(case, x, y):
     """The dense product, with its monomials in the ideal dropped when the
     ideal is monomial (no relations beyond the caps)."""
     ctx, _, rels = KERNEL_CASES[case]
-    raw = dense_mul(as_dense(x), as_dense(y), ctx.max_degree)
+    raw = dense_mul(as_dense(x), as_dense(y), ctx.degree_cap)
     if rels:
         return raw
     member = _member(case)
@@ -535,7 +535,7 @@ _COEFF = st.fractions(min_value=Fraction(-7, 2), max_value=Fraction(7, 2), max_d
 
 def _case_elements(case):
     ctx = KERNEL_CASES[case][0]
-    monos = monomials_up_to(ctx.ngens, ctx.max_degree)
+    monos = monomials_up_to(ctx.ngens, ctx.degree_cap)
     return st.dictionaries(st.sampled_from(monos), _COEFF, max_size=6).map(ctx.element)
 
 
@@ -605,11 +605,11 @@ def test_one_term_products_match_the_dense_oracle(case, mixed_member):
     rels = list(ctx.relations)
     blocks = [(b.start, b.count, b.cap) for b in ctx.blocks if b.cap < ctx.degree_cap]
     member = mixed_member if case == "mixed-blocks" else ideal_membership(
-        rels + cap_relations(blocks, ctx.ngens), ctx.ngens, ctx.max_degree)
+        rels + cap_relations(blocks, ctx.ngens), ctx.ngens, ctx.degree_cap)
     rng = random.Random(case)
-    monos = monomials_up_to(ctx.ngens, min(ctx.max_degree, 3))
+    monos = monomials_up_to(ctx.ngens, min(ctx.degree_cap, 3))
     crossed = set()
-    for mono in monomials_up_to(ctx.ngens, ctx.max_degree):
+    for mono in monomials_up_to(ctx.ngens, ctx.degree_cap):
         q = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
         one = ctx.element({mono: q})
         if len(one.num) != 1:  # a pivot or a capped monomial is not one term
@@ -622,7 +622,7 @@ def test_one_term_products_match_the_dense_oracle(case, mixed_member):
             if not any(mono):
                 assert got == x * q
             _assert_canonical(got)
-            raw = dense_mul(as_dense(one), as_dense(x), ctx.max_degree)
+            raw = dense_mul(as_dense(one), as_dense(x), ctx.degree_cap)
             if rels:
                 assert member(dense_add(raw, dense_scale(as_dense(got), Fraction(-1))))
             else:
@@ -660,7 +660,7 @@ def test_subtraction_is_adding_the_negative(data):
 def test_quotient_normal_forms_against_membership(data):
     case = data.draw(st.sampled_from(QUOTIENT_CASES))
     ctx, _, rels = KERNEL_CASES[case]
-    monos = monomials_up_to(ctx.ngens, ctx.max_degree)
+    monos = monomials_up_to(ctx.ngens, ctx.degree_cap)
     raw = data.draw(st.dictionaries(st.sampled_from(monos), _COEFF, max_size=8))
     x = ctx.element(raw)
     # x is congruent to its input, and zero exactly when the input is in the ideal
@@ -746,7 +746,7 @@ def test_two_presentations_of_one_ideal_stay_two_equal_objects():
 def test_int_and_fraction_coefficients_of_equal_value_are_one_object():
     ctx = generic_nilsquare_tuple(3, 4)[0]
     fractions = [{m: Fraction(c) for m, c in rel.items()} for rel in ctx.relations]
-    assert make_quotient_context(ctx.names, fractions, ctx.max_degree) is ctx
+    assert make_quotient_context(ctx.names, fractions, ctx.degree_cap) is ctx
     rels = [{(1, 1): Fraction(6, 3), (2, 0): Fraction(-1)}]
     assert make_quotient_context(["s", "t"], rels, 3) is make_quotient_context(
         ["s", "t"], [{(2, 0): -1, (1, 1): 2}], 3
@@ -925,13 +925,13 @@ RELATION_FREE = {
 @pytest.mark.parametrize("case", sorted(RELATION_FREE))
 def test_without_relations_everything_vanishes_just_above_the_cap(case):
     ctx = RELATION_FREE[case]()
-    assert [ctx.vanishes_from(d) for d in range(ctx.max_degree + 3)] == [
-        d > ctx.max_degree for d in range(ctx.max_degree + 3)
+    assert [ctx.vanishes_from(d) for d in range(ctx.degree_cap + 3)] == [
+        d > ctx.degree_cap for d in range(ctx.degree_cap + 3)
     ]
     x = ctx.one()
     for g in ctx.gens():
         x = x + g
-    assert not (x ** ctx.max_degree - 1).is_zero()
+    assert not (x ** ctx.degree_cap - 1).is_zero()
     assert ctx._bases == {}  # no relation basis is ever built
 
 
@@ -940,8 +940,8 @@ def test_without_relations_everything_vanishes_just_above_the_cap(case):
 )
 def test_vanishing_degree_matches_membership(model):
     ctx = QUOTIENT_MODELS[model]()
-    member = ideal_membership(ctx.relations, ctx.ngens, ctx.max_degree)
-    degrees = range(ctx.max_degree + 2)
+    member = ideal_membership(ctx.relations, ctx.ngens, ctx.degree_cap)
+    degrees = range(ctx.degree_cap + 2)
     want = [all(member({m: Fraction(1)}) for m in _of_degree(ctx.ngens, d)) for d in degrees]
     # asked from the top down on one fresh context, from the bottom up on another
     top_down = {d: ctx.vanishes_from(d) for d in reversed(degrees)}
@@ -954,8 +954,8 @@ def test_vanishing_degree_matches_membership(model):
 )
 def test_vanishing_degree_bottom_up_on_a_context_with_no_bases(model):
     ctx = QUOTIENT_MODELS[model]()
-    member = ideal_membership(ctx.relations, ctx.ngens, ctx.max_degree)
-    degrees = range(ctx.max_degree + 2)
+    member = ideal_membership(ctx.relations, ctx.ngens, ctx.degree_cap)
+    degrees = range(ctx.degree_cap + 2)
     want = [all(member({m: Fraction(1)}) for m in _of_degree(ctx.ngens, d)) for d in degrees]
     assert [ctx.vanishes_from(d) for d in reversed(degrees)][::-1] == want
     # drop every holder of the first context, so the next one starts empty
@@ -966,7 +966,7 @@ def test_vanishing_degree_bottom_up_on_a_context_with_no_bases(model):
     assert gone() is None
     fresh = QUOTIENT_MODELS[model]()
     # building the model's points reads degree 1 only
-    assert set(fresh._bases) <= {1} and fresh._top == fresh.max_degree
+    assert set(fresh._bases) <= {1} and fresh._top == fresh.degree_cap
     assert [fresh.vanishes_from(d) for d in degrees] == want
 
 
@@ -979,7 +979,7 @@ def test_vanishing_degree_under_binding_caps(mixed_member):
 
 def test_nilsquare_3_4_dies_below_its_cap():
     ctx = generic_nilsquare_tuple(3, 4)[0]
-    assert ctx.max_degree == 4
+    assert ctx.degree_cap == 4
     # degree 4 is found full first, and that must not cut degree 3
     assert ctx.vanishes_from(4) and not ctx.vanishes_from(3)
     kept = {m for mono in _of_degree(ctx.ngens, 3) for m in ctx.element({mono: 1}).num}
@@ -1046,7 +1046,7 @@ def _grlex(ctx):
         rest = poly(raw).rem(basis)
         return {
             m: Fraction(int(c.numerator), int(c.denominator))
-            for m, c in rest.items() if sum(m) <= ctx.max_degree
+            for m, c in rest.items() if sum(m) <= ctx.degree_cap
         }
 
     return normal_form, [g.LM for g in basis]
@@ -1057,26 +1057,26 @@ _NONZERO = _COEFF.filter(bool)
 
 def _assert_matches_sympy(ctx, rng, sparse):
     normal_form, leading = _grlex(ctx)
-    monos = _up_to(ctx.ngens, ctx.max_degree)
+    monos = _up_to(ctx.ngens, ctx.degree_cap)
     # one element on every monomial checks them all at once (reduction is
     # linear), and sparse ones check elements as products make them
     dense = {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for m in monos}
     for raw in [dense] + sparse:
         assert ctx.element(raw).coeffs == normal_form(raw)
     # a degree vanishes exactly when the leading monomials cover it
-    for d in range(ctx.max_degree + 2):
+    for d in range(ctx.degree_cap + 2):
         covered = all(
             any(all(a >= b for a, b in zip(m, lm)) for lm in leading)
             for m in _of_degree(ctx.ngens, d)
         )
-        assert ctx.vanishes_from(d) == (covered or d > ctx.max_degree)
+        assert ctx.vanishes_from(d) == (covered or d > ctx.degree_cap)
 
 
 @pytest.mark.parametrize("model", sorted(QUOTIENT_MODELS))
 def test_model_normal_forms_against_sympy(model):
     ctx = QUOTIENT_MODELS[model]()
     rng = random.Random(5)
-    monos = _up_to(ctx.ngens, ctx.max_degree)
+    monos = _up_to(ctx.ngens, ctx.degree_cap)
     sparse = [
         {rng.choice(monos): Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(6)}
         for _ in range(3)
@@ -1096,7 +1096,7 @@ def test_random_quotient_normal_forms_against_sympy(data):
     n = data.draw(st.integers(3, 4))
     rels = data.draw(st.lists(_homogeneous(n), min_size=1, max_size=4))
     ctx = make_quotient_context([f"x{i}" for i in range(n)], rels, data.draw(st.integers(3, 4)))
-    monos = _up_to(n, ctx.max_degree)
+    monos = _up_to(n, ctx.degree_cap)
     sparse = data.draw(st.lists(st.dictionaries(st.sampled_from(monos), _NONZERO, max_size=6), max_size=3))
     _assert_matches_sympy(ctx, random.Random(data.draw(st.integers(0, 99))), sparse)
 
@@ -1116,7 +1116,7 @@ PACKED_CASES = {
 
 def _packed_case(name):
     ctx = PACKED_CASES[name]()
-    alive = [m for m in _up_to(ctx.ngens, ctx.max_degree) if not ctx.monomial_is_zero(m)]
+    alive = [m for m in _up_to(ctx.ngens, ctx.degree_cap) if not ctx.monomial_is_zero(m)]
     return ctx, alive
 
 
@@ -1273,7 +1273,7 @@ def test_integer_model_equals_its_fraction_presentation():
     ctx = generic_nilsquare_tuple(3, 4)[0]
     assert all(type(c) is int for rel in ctx.relations for c in rel.values())
     fractions = [{m: Fraction(c) for m, c in rel.items()} for rel in ctx.relations]
-    again = make_quotient_context(ctx.names, fractions, ctx.max_degree)
+    again = make_quotient_context(ctx.names, fractions, ctx.degree_cap)
     assert again.relations == ctx.relations
     assert again == ctx and hash(again) == hash(ctx)
     assert again.gen(0) * again.gen(3) == ctx.gen(0) * ctx.gen(3)
