@@ -19,8 +19,9 @@ the quotient's own generators (`q[1]*q[2]`), connection entries use the
 coordinate names `x1..xn`.
 
 Arithmetic parses straight to `polymap.Expr` nodes; two literals fold into
-one `Const` (`3/2`) before any node is built.  In a map body, a relation or
-a GAMMA entry, names resolve to `Var` as they are read.  Points, check
+one `Const` (`3/2`) before any node is built.  An integer literal stays an
+`int`, and only a quotient folds to a `Fraction`.  In a map body, a
+relation or a GAMMA entry, names resolve to `Var` as they are read.  Points, check
 vectors and `eval --expr` strings add the leaves `ERef` (a point or an
 indexed generator), `EVec` (a coordinate tuple) and `ECall` (a map call).
 
@@ -279,27 +280,28 @@ _MAX_DIMENSION = 10_000
 _MAX_TERMS = 1_000
 
 
-def _expanded_terms(node, nvars: int) -> int:
-    """A bound on the terms of the polynomial ``node`` over ``nvars``
-    variables and of each subexpression expanded on the way, saturated past
-    ``_MAX_TERMS``: a degree-D one has at most C(nvars + D, nvars) terms, a
-    sum at most its operands' together, a product their product, and a
-    t-term base to the power e at most C(t + e - 1, e), so a power of one
-    monomial stays one term.  A quotient or a root counts as its first operand."""
+def _expanded_terms(node) -> int:
+    """A bound on the terms of the polynomial ``node`` and of each
+    subexpression expanded on the way, saturated past ``_MAX_TERMS``: a
+    degree-D one in v variables has at most C(v + D, v) terms (the variables
+    it uses are tracked as a bitmask), a sum at most its operands' together,
+    a product their product, and a t-term base to the power e at most
+    C(t + e - 1, e), so a power of one monomial stays one term.  A quotient
+    or a root counts as its first operand."""
     over = _MAX_TERMS + 1
 
     def comb(top, k):  # C(top, k) for 0 < k < top, saturated; it exceeds k and top - k
         return over if max(k, top - k) >= over else min(math.comb(top, k), over)
 
     # operands are walked before the node, which the stack holds as (node,)
-    # meanwhile; ``done`` holds (degree, terms) of finished operands, the
-    # rightmost last, each saturated at ``over``
+    # meanwhile; ``done`` holds (degree, terms, variables) of finished
+    # operands, the rightmost last, each saturated at ``over``
     worst, done, todo = 1, [], [node]
     while todo:
         n = todo.pop()
         kind = type(n)
         if kind is Const or kind is Var:
-            done.append((1 if kind is Var else 0, 1))
+            done.append((1, 1, 1 << n.index) if kind is Var else (0, 1, 0))
         elif kind is not tuple:
             todo.append((n,))
             todo.extend((n.right, n.left) if kind in _BINARY else
@@ -307,8 +309,9 @@ def _expanded_terms(node, nvars: int) -> int:
         else:
             n = n[0]
             kind = type(n)
-            db, tb = done.pop() if kind in _BINARY else (0, 1)
-            deg, terms = done.pop()
+            db, tb, vb = done.pop() if kind in _BINARY else (0, 1, 0)
+            deg, terms, used = done.pop()
+            used |= vb
             if kind is Add or kind is Sub:
                 deg, terms = max(deg, db), terms + tb
             elif kind is Mul:
@@ -319,9 +322,9 @@ def _expanded_terms(node, nvars: int) -> int:
             deg = min(deg, over)
             if not deg:
                 terms = 1
-            elif terms > max(deg, nvars) + 1:  # under the dense count, which exceeds both
-                terms = min(terms, comb(nvars + deg, nvars))
-            done.append((deg, terms))
+            elif terms > max(deg, v := used.bit_count()) + 1:  # the dense count exceeds both
+                terms = min(terms, comb(v + deg, v))
+            done.append((deg, terms, used))
             worst = max(worst, terms)
     return worst
 
@@ -492,10 +495,10 @@ class _Parser:
         out_dim = self.positive_int("output dimension >= 1", "the output dimension")
         self.expect("{")
         names = {p: i for i, p in enumerate(params)}
-        bodies = [self.scalar_body(names, len(params), body=True)]
+        bodies = [self.scalar_body(names, body=True)]
         while self.tok.type == ",":
             self.advance()
-            bodies.append(self.scalar_body(names, len(params), body=True))
+            bodies.append(self.scalar_body(names, body=True))
         close = self.tok
         self.expect("}")
         if len(bodies) != out_dim:
@@ -778,19 +781,18 @@ class _Parser:
             den = self.expect_int("a denominator")
             if den == 0:
                 self.fail("a nonzero denominator", self.toks[self.pos - 1])
-        q = Fraction(num, den)
-        return -q if neg else q
+        return Fraction(-num if neg else num, den)
 
     # expressions
 
-    def scalar_body(self, names: dict, nvars: int, family=None, body=False) -> Expr:
-        """One scalar body over ``nvars`` variables, its names resolved by the
-        rules of :class:`_Scope`, within the term budget."""
+    def scalar_body(self, names: dict, family=None, body=False) -> Expr:
+        """One scalar body, its names resolved by the rules of
+        :class:`_Scope`, within the term budget."""
         start = self.tok
         self.scope = _Scope(names, family, start, body)
         node = self.expr()
         self.scope = None
-        if _expanded_terms(node, nvars) > _MAX_TERMS:
+        if _expanded_terms(node) > _MAX_TERMS:
             self.fail(f"a body within the term budget ({_MAX_TERMS:,} terms when expanded)", start)
         return node
 
@@ -824,7 +826,7 @@ class _Parser:
         scope = self.scope
         if t.type == "INT":
             self.advance()
-            return Const(Fraction(int(t.value)))
+            return Const(int(t.value))
         if t.type == "(":
             self.advance()
             first = self.expr()
@@ -937,7 +939,7 @@ class _Parser:
         """Fold an expression into a polynomial over ``nvars`` variables: the
         bare names of ``names``, or the indexed generators ``family[i]``."""
         start = self.tok
-        poly = expr_to_poly(self.scalar_body(names, nvars, family), nvars)
+        poly = expr_to_poly(self.scalar_body(names, family), nvars)
         if poly is None:
             self.fail("division by a nonzero constant", start)
         if poly.is_zero():
@@ -967,7 +969,7 @@ _BINOPS = {
     "+": (Add, operator.add),
     "-": (Sub, operator.sub),
     "*": (Mul, operator.mul),
-    "/": (Div, operator.truediv),
+    "/": (Div, Fraction),
 }
 
 

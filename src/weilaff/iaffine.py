@@ -43,7 +43,6 @@ from .weil import (
     _as_fraction,
     _contract,
     _lincomb,
-    _set_field,
     make_truncated_context,
     mat_inverse,
 )
@@ -72,15 +71,26 @@ class MembershipError(WeilError):
 
 
 class AffineWeights(Record):
-    """A tuple of rational weights summing to exactly 1."""
+    """A tuple of rational weights summing to exactly 1.
 
-    __slots__ = ("values",)
+    ``values`` holds them as Fractions and, beside it, ``nums`` holds their
+    integer numerators over their least common denominator ``den``, which
+    the combines compute with.  ``values`` alone is compared, hashed, copied
+    and pickled."""
+
+    __slots__ = ("values", "nums", "den")
+    _compared = 1
 
     def __init__(self, values: tuple):
-        vals = tuple(_as_fraction(v) for v in values)
-        _set_field(self, "values", vals)
-        if sum(vals, Fraction(0)) != 1:
-            raise WeilError(f"affine weights must sum to 1, got {sum(vals, Fraction(0))}")
+        values = tuple(_as_fraction(v) for v in values)
+        den = math.lcm(*[v.denominator for v in values])
+        nums = tuple([v.numerator * (den // v.denominator) for v in values])
+        super().__init__(values, nums, den)
+        if sum(nums) != den:
+            raise WeilError(f"affine weights must sum to 1, got {Fraction(sum(nums), den)}")
+
+    def __reduce__(self):
+        return AffineWeights, (self.values,)
 
     def __len__(self):
         return len(self.values)
@@ -116,7 +126,8 @@ def weighted_point_sum(weights: AffineWeights, points: Sequence[PointVec]) -> Po
         first._check(P)
     ctx = first.context
     return PointVec(ctx, tuple(
-        _lincomb(ctx, zip(weights.values, (P[a] for P in points))) for a in range(first.dim)
+        _lincomb(ctx, zip(weights.nums, (P[a] for P in points)), weights.den)
+        for a in range(first.dim)
     ))
 
 
@@ -274,17 +285,19 @@ def _bilinear_combiner(at: Callable, points: Sequence[PointVec]) -> Callable:
         weights = _as_weights(weights)
         # the sum checks the points against P1, so their differences exist
         s = weighted_point_sum(weights, points)
-        G, D, w, terms = gamma(), differences(), weights.values, [(1, s)]
-        for j in range(1, len(w)):
-            for l in range(j, len(w)):
-                q = w[j] * w[l] if j < l else (w[j] * w[j] - w[j]) / 2
+        # over 2L², w_j = n_j / L: w_j·w_l is 2·n_j·n_l, (w_j² - w_j) / 2 is n_j² - n_j·L
+        G, D, n, L = gamma(), differences(), weights.nums, weights.den
+        terms = [(2 * L * L, s)]
+        for j in range(1, len(n)):
+            for l in range(j, len(n)):
+                q = 2 * n[j] * n[l] if j < l else n[j] * (n[j] - L)
                 if q:
                     if (j, l) not in pairs:
                         pairs[j, l] = G.apply(D[j], D[l])
                     terms.append((q, pairs[j, l]))
         ctx = s.context
         return PointVec(ctx, tuple(
-            _lincomb(ctx, ((q, X[a]) for q, X in terms)) for a in range(s.dim)
+            _lincomb(ctx, ((q, X[a]) for q, X in terms), 2 * L * L) for a in range(s.dim)
         ))
 
     return combine
@@ -540,11 +553,11 @@ def check_axioms(
 
         def associativity():
             nested = handle.combiner(combined)(outer)
-            flat = [
-                sum((mu * w[j] for mu, w in zip(outer.values, families)), Fraction(0))
-                for j in range(len(points))
-            ]
-            direct = combine(AffineWeights(tuple(flat)))
+            # sum_f mu_f·w_f[j] over the denominator outer.den·lcm(w_f.den)
+            den = math.lcm(*[w.den for w in families])
+            flat = [sum(mu * w.nums[j] * (den // w.den) for mu, w in zip(outer.nums, families))
+                    for j in range(len(points))]
+            direct = combine(AffineWeights(tuple(Fraction(f, outer.den * den) for f in flat)))
             return difference_witness(nested, direct, "nested - flattened combine")
 
         report.run(f"{name_prefix}/associativity", "associativity", associativity)
@@ -671,16 +684,16 @@ def check_idempotent_identities(
     P = ctx.point(base)
     X = P + PointVec(ctx, tuple(ctx.gens()))
 
-    # over a <= b with the entry doubled off the diagonal, so each product
-    # v[a]·v[b] is built once
-    hess_rows = [{(a, b): Hess[p][a][b] * (1 if a == b else 2)
+    # H and J over L; over a <= b with the entry doubled off the diagonal, so
+    # each product v[a]·v[b] is built once
+    hess_rows = [{(a, b): H[p][a][b] * (1 if a == b else 2)
                   for a in range(n) for b in range(a, n)} for p in range(n)]
-    jac_rows = [{(p,): Jac[i][p] for p in range(n)} for i in range(n)]
+    jac_rows = [{(p,): J[i][p] for p in range(n)} for i in range(n)]
 
     def tangential_kill():
         v = (rp.idempotent_eval(X) - rp.idempotent_eval(P)).coords
-        hv = _contract(ctx, hess_rows, (v, v))
-        for i, acc in enumerate(_contract(ctx, jac_rows, (hv,))):
+        hv = _contract(ctx, hess_rows, (v, v), [L] * n)
+        for i, acc in enumerate(_contract(ctx, jac_rows, (hv,), [L] * n)):
             if not acc.is_zero():
                 return Witness.of(f"De(D2e[u,u])[{i + 1}]", acc)
         return None

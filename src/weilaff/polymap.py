@@ -14,11 +14,12 @@ the kernel's helpers for common denominators, lowest terms and linear
 combinations, not its products: a polynomial has no caps or relations.
 It adds, multiplies and substitutes, but does
 not evaluate itself: a :class:`PolyMap` keeps each component as a row of
-index tuples with one ``(variable, exponent)`` slot per variable (x0²·x2 is
-((0, 2), (2, 1))), and :func:`eval_map` evaluates them all in one
-``weil._contract``, which builds each product of powers once, as its prefix
-times one power.  Each power is computed once per call, by repeated
-squaring, so a term of degree e costs O(log e) products.
+its integer numerators on index tuples with one ``(variable, exponent)``
+slot per variable (x0²·x2 is ((0, 2), (2, 1))) over its denominator, and
+:func:`eval_map` evaluates them all in one ``weil._contract``, which
+builds each product of powers once, as its prefix times one power.  Each
+power is computed once per call, by repeated squaring, so a term of degree
+e costs O(log e) products.
 
 Derivatives have one path, :func:`jet`: the Taylor coefficients of one
 evaluation at ``P + d``, ``d`` a fresh nilpotent block adjoined to the
@@ -94,7 +95,8 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, q: Scalar) -> "Poly":
-        q = _as_fraction(q)
+        if type(q) is not int:
+            q = _as_fraction(q)
         return cls._of(nvars, {(0,) * nvars: q.numerator} if q else {}, q.denominator)
 
     @classmethod
@@ -252,9 +254,13 @@ class Poly:
 
 
 class PolyMap:
-    """A polynomial map R^n -> R^m given by one :class:`Poly` per component."""
+    """A polynomial map R^n -> R^m given by one :class:`Poly` per component.
 
-    __slots__ = ("in_dim", "out_dim", "components", "_rows", "_slots")
+    Each component is kept as the contraction row :func:`eval_map` reads:
+    its :class:`Poly`'s integer numerators, keyed by one ``(variable,
+    exponent)`` slot per variable of the term, over the Poly's denominator."""
+
+    __slots__ = ("in_dim", "out_dim", "components", "_rows", "_dens", "_slots")
 
     def __init__(self, in_dim: int, out_dim: int, components: Sequence[Poly]):
         components = tuple(components)
@@ -266,13 +272,10 @@ class PolyMap:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.components = components
-        # one contraction row per component, a slot per variable and its
-        # exponent: the term x0²·x2 is the tuple ((0, 2), (2, 1))
-        self._rows = [
-            {tuple((i, e) for i, e in enumerate(m) if e): c if p.den == 1 else Fraction(c, p.den)
-             for m, c in p._num.items()}
-            for p in components
-        ]
+        # the term x0²·x2 is the tuple ((0, 2), (2, 1))
+        self._rows = [{tuple((i, e) for i, e in enumerate(m) if e): c for m, c in p._num.items()}
+                      for p in components]
+        self._dens = [p.den for p in components]
         self._slots = {s for row in self._rows for idx in row for s in idx}
 
     @classmethod
@@ -317,7 +320,7 @@ class _TwoFields(Expr):
 
 
 class Const(_OneField):
-    __slots__ = ("value",)  # a Fraction
+    __slots__ = ("value",)  # an int or a Fraction
 
 
 class Var(_OneField):
@@ -448,7 +451,7 @@ def eval_map(f: AnyMap, P: PointVec) -> PointVec:
         # every power a term reads, once each, by repeated squaring; a term
         # has at most one slot per variable
         powers = {(i, e): P.coords[i] ** e for i, e in f._slots}
-        coords = tuple(_contract(ctx, f._rows, [powers] * f.in_dim))
+        coords = tuple(_contract(ctx, f._rows, [powers] * f.in_dim, f._dens))
     elif isinstance(f, ExprMap):
         coords = tuple(eval_expr(e, P.coords) for e in f.components)
     else:

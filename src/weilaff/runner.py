@@ -78,8 +78,8 @@ def _build_context(decls) -> tuple:
         else:
             blocks.append((d.name, d.nvars, d.degcap))
             pad_left, pad_right = (0,) * start, (0,) * (total - start - d.nvars)
-            for poly in d.relations:
-                relations.append({pad_left + m + pad_right: c for m, c in poly.terms.items()})
+            for poly in d.relations:  # a relation's multiple spans the same ideal
+                relations.append({pad_left + m + pad_right: c for m, c in poly._num.items()})
         start += d.nvars
     return make_truncated_context(blocks, relations), offsets
 

@@ -187,8 +187,9 @@ class WeilContext:
     relations span the same ideal modulo the caps, however they are listed.
 
     A context is immutable apart from lazy caches that are filled
-    idempotently (the relation bases, the ideal key and the generators'
-    normal forms, kept as numerators and denominator) or only ever lowered
+    idempotently (the relation bases, the ideal key, the generators' normal
+    forms, kept as numerators and denominator, and the contexts
+    :func:`_adjoin` built on it) or only ever lowered
     (the known top degree), so one context is safely shared by everything
     built on an equal presentation.  No cache holds an element: an element
     points back at its context, so a context holding one would be freed only
@@ -200,7 +201,7 @@ class WeilContext:
     __slots__ = (
         "names", "blocks", "relations", "degree_cap", "_binding", "_sig",
         "_mask", "_offsets", "_units", "_dshift", "_bias", "_guard", "_rels",
-        "_bases", "_ideal", "_top", "_gens", "__weakref__",
+        "_bases", "_ideal", "_top", "_gens", "_adjoined", "__weakref__",
     )
 
     def __init__(self, names: tuple, blocks: tuple, relations: tuple):
@@ -248,7 +249,7 @@ class WeilContext:
         # the identical value, so a race merely duplicates work)
         self._bases = {}
         self._ideal = None
-        self._gens = None
+        self._gens = self._adjoined = None
         # every degree above this one vanishes; it drops when a basis turns
         # out full and never rises, so any value it has held is a valid bound
         # and a race merely costs work
@@ -606,31 +607,40 @@ def _sum_scaled(scaled: Sequence) -> tuple:
     return _lowest_terms({m: c for m, c in out.items() if c}, den)
 
 
-def _lincomb(ctx: WeilContext, pairs: Iterable) -> "WeilElement":
-    """The sum of ``q * x`` over ``(scalar, element)`` pairs of ``ctx``, by
-    :func:`_sum_scaled`.  A scalar is a rational or a constant element."""
+def _lincomb(ctx: WeilContext, pairs: Iterable, den: int = 1) -> "WeilElement":
+    """The sum of ``(q / den) * x`` over ``(scalar, element)`` pairs of ``ctx``,
+    by :func:`_sum_scaled`, for a positive integer ``den``.  A scalar is an
+    integer (the fast case: callers hold integer numerators over ``den``), a
+    rational or a constant element.  Elements are immutable, so one term of
+    weight 1 returns that element itself, and no term returns zero."""
     scaled = []
     for q, x in pairs:
         if x.context is not ctx and x.context != ctx:
             raise ContextMismatchError("elements belong to different contexts")
         if q and x._num:
             if type(q) is int:
-                scaled.append((q, x.den, x._num))
+                p, d = q, den
             elif type(q) is WeilElement:
-                scaled.append((q._num.get(0, 0), q.den * x.den, x._num))
+                p, d = q._num.get(0, 0), q.den * den
             else:
                 q = _as_fraction(q)
-                scaled.append((q.numerator, q.denominator * x.den, x._num))
+                p, d = q.numerator, q.denominator * den
+            scaled.append((p, d * x.den, x._num))
+            last = x
+    if len(scaled) == 1 and p == d:  # the weight p / d of the one term is 1
+        return last
     return WeilElement(ctx, *_sum_scaled(scaled))
 
 
-def _contract(ctx: WeilContext, rows: Sequence[Mapping], vectors: Sequence[Sequence]) -> list:
+def _contract(ctx: WeilContext, rows: Sequence[Mapping], vectors: Sequence, dens=None) -> list:
     """One element of ``ctx`` per row: the sum over the row's entries
-    ``idx: c`` of ``c`` times the product of ``vectors[j][idx[j]]`` over the
-    slots ``j`` of the index tuple ``idx``.
+    ``idx: c`` of ``c / dens[r]`` (``c`` when ``dens`` is None) times the
+    product of ``vectors[j][idx[j]]`` over the slots ``j`` of the index tuple
+    ``idx``.
 
-    A coefficient is a rational or an element; a constant element only
-    scales.  Each product is built once per call, as its prefix times one
+    A coefficient is an integer (over the row's denominator, as
+    :func:`_lincomb` takes it), a rational or an element; a constant element
+    only scales.  Each product is built once per call, as its prefix times one
     coordinate, so products share their prefixes' work (the multivariate
     Horner scheme of Carnicer and Gasca, Math. Comp. 1990).  ``()`` is one,
     a vanished prefix ends every product that extends it, and each row is
@@ -639,7 +649,7 @@ def _contract(ctx: WeilContext, rows: Sequence[Mapping], vectors: Sequence[Seque
     # child[node, i] is the node one slot deeper with its product, node 0
     # being (): walking it from the root finds each product already built
     one, child, out = ctx.one(), {}, []
-    for row in rows:
+    for row, den in zip(rows, dens or [1] * len(rows)):
         pairs = []
         for idx, c in row.items():
             if not c:  # a zero rational builds no product (an element is always true)
@@ -658,7 +668,7 @@ def _contract(ctx: WeilContext, rows: Sequence[Mapping], vectors: Sequence[Seque
                 if type(c) is WeilElement and not c._num.keys() <= {0}:
                     c, x = 1, c * x
                 pairs.append((c, x))
-        out.append(_lincomb(ctx, pairs))
+        out.append(_lincomb(ctx, pairs, den))
     return out
 
 
@@ -692,14 +702,24 @@ def _clean_relations(relations, ngens: int) -> tuple:
 _contexts = weakref.WeakValueDictionary()
 
 
-def _presentation_key(names: tuple, blocks: tuple, relations: tuple) -> tuple:
+class _Key(tuple):
+    """A presentation's key, holding its hash once computed: a generic
+    model's key is kept per shape and looked up on every build."""
+
+    def __hash__(self):
+        return self.hash
+
+
+def _presentation_key(names: tuple, blocks: tuple, relations: tuple) -> _Key:
     """The intern table's key of a presentation.  Relations come cleaned, so
     coefficients of equal value give one key."""
     block_fields = tuple((b.name, b.start, b.count, b.cap) for b in blocks)
-    return names, block_fields, tuple(tuple(rel.items()) for rel in relations)
+    key = _Key((names, block_fields, tuple(tuple(rel.items()) for rel in relations)))
+    key.hash = tuple.__hash__(key)
+    return key
 
 
-def _intern(names: tuple, blocks: tuple, relations: tuple, key: tuple = None) -> WeilContext:
+def _intern(names: tuple, blocks: tuple, relations: tuple, key: _Key = None) -> WeilContext:
     """The live context of this presentation, or a new one.  ``key`` is the
     presentation's :func:`_presentation_key`, when the caller kept it."""
     if key is None:
@@ -767,13 +787,17 @@ def _adjoin(ctx: WeilContext, count: int, cap: int) -> tuple:
     of ``ctx`` into it.  Its relations are those of ``ctx``, zero on the new
     generators, so their multiples span the direct sum, over the monomials
     of the new generators, of their span in ``ctx`` times the monomial: a
-    normal form of ``ctx`` stays one."""
+    normal form of ``ctx`` stays one.  ``ctx`` holds the contexts adjoined to
+    it, so a jet taken again reuses its context; none refers back to it."""
     pad = (0,) * count
-    big = _intern(
-        ctx.names + tuple(f"∂{i}" for i in range(1, count + 1)),
-        ctx.blocks + (Block("∂", ctx.ngens, count, cap),),
-        tuple({m + pad: c for m, c in rel.items()} for rel in ctx.relations),
-    )
+    adjoined = ctx._adjoined = ctx._adjoined or {}
+    big = adjoined.get((count, cap))
+    if big is None:
+        big = adjoined[count, cap] = _intern(
+            ctx.names + tuple(f"∂{i}" for i in range(1, count + 1)),
+            ctx.blocks + (Block("∂", ctx.ngens, count, cap),),
+            tuple({m + pad: c for m, c in rel.items()} for rel in ctx.relations),
+        )
     unpack, pack = ctx._unpack, big._pack
 
     def lift(x: WeilElement) -> WeilElement:
@@ -944,25 +968,31 @@ class WeilElement:
                 if key < limit and not (key + bias) & guard:
                     out[key] = v * c
             return ctx._normal_form(out, x.den * y.den)
-        # the right factor's terms in order of degree; ends[r] counts those of
-        # degree at most r, so a left term of degree d meets exactly the
-        # first ends[top - d] of them and no pair is visited to be rejected
-        # by the known top degree (at most the total cap)
+        # constant terms only scale: xy = a0·y + b0·x' + x'y', and x'y' visits pairs
+        a0, b0 = a.get(0), b.get(0)
+        out = {m: c * a0 for m, c in b.items()} if a0 else {}
+        if b0:
+            for m, c in a.items():
+                if m:
+                    out[m] = out.get(m, 0) + c * b0
+        # the right factor's other terms in order of degree; ends[r] counts
+        # those of degree at most r, so a left term of degree d meets exactly
+        # the first ends[top - d] of them and no pair is visited to be
+        # rejected by the known top degree (at most the total cap)
         dshift = ctx._dshift
         graded = [[] for _ in range(ctx.degree_cap + 1)]
         for m, c in b.items():
             graded[m >> dshift].append((m, c))
         right = []
-        ends = []
-        for terms in graded:
+        ends = [0]
+        for terms in graded[1:]:
             right.extend(terms)
             ends.append(len(right))
         top = ctx._top
         bias, guard = ctx._bias, ctx._guard
-        out = {}
         for m1, c1 in a.items():
             room = top - (m1 >> dshift)
-            if room < 0:
+            if room < 0 or not m1:
                 continue
             for m2, c2 in right[: ends[room]]:
                 key = m1 + m2
@@ -1137,8 +1167,9 @@ def mat_inverse(M) -> list:
 
     Splits M = C + N with C the rational constant part and N nilpotent, then
     expands M^{-1} = (sum_i B^i) C^{-1} with B = -C^{-1} N; the series
-    terminates at the context's top degree.  Only the powers B^2, B^3, ...
-    take products; C^{-1} enters as rational weights.  Raises
+    terminates at the context's top degree, and with N = 0 it is C^{-1}
+    alone.  Only the powers B^2, B^3, ... take products; C^{-1} = K / L
+    enters as integer weights K over one denominator L.  Raises
     :class:`SingularMatrixError` when C is singular over Q.
     """
     n = len(M)
@@ -1151,11 +1182,13 @@ def mat_inverse(M) -> list:
                 raise ContextMismatchError("matrix entries must share one context")
     C = [[e.constant_term for e in row] for row in M]
     Cinv = _rational_matrix_inverse(C)
+    if all(e._num.keys() <= {0} for row in M for e in row):
+        return [[ctx.scalar(q) for q in row] for row in Cinv]
+    L = math.lcm(*[q.denominator for row in Cinv for q in row])
+    K = [[q.numerator * (L // q.denominator) for q in row] for row in Cinv]
     N = [[M[i][j] - C[i][j] for j in range(n)] for i in range(n)]
-    B = [
-        [_lincomb(ctx, ((-Cinv[i][t], N[t][j]) for t in range(n))) for j in range(n)]
-        for i in range(n)
-    ]
+    B = [[_lincomb(ctx, ((-K[i][t], N[t][j]) for t in range(n)), L) for j in range(n)]
+         for i in range(n)]
     # S = B + B^2 + ..., then M^{-1} = C^{-1} + S C^{-1}
     S = term = B
     for _ in range(ctx._top - 1):
@@ -1165,7 +1198,7 @@ def mat_inverse(M) -> list:
         S = [[a + t for a, t in zip(ar, tr)] for ar, tr in zip(S, term)]
     one = ctx.one()
     return [
-        [_lincomb(ctx, [(Cinv[i][j], one)] + [(Cinv[t][j], S[i][t]) for t in range(n)])
+        [_lincomb(ctx, [(K[i][j], one)] + [(K[t][j], S[i][t]) for t in range(n)], L)
          for j in range(n)]
         for i in range(n)
     ]

@@ -310,6 +310,43 @@ def connection_combine(G, weights: Sequence[Fraction], points: Sequence) -> obje
     return s + Fraction(1, 2) * corr
 
 
+def poly_map_eval(components: Sequence[Mapping[Mono, Fraction]], coords: Sequence[Dense],
+                  cap: int, ngens: int) -> List[Dense]:
+    """Each component at the point, term by term: the sum of ``c`` times the
+    product of ``coords[i]**e``, in dense Fraction arithmetic truncated past
+    total degree ``cap`` (one block, no relations)."""
+    out = []
+    for comp in components:
+        acc: Dense = {}
+        for m, c in comp.items():
+            term: Dense = {(0,) * ngens: Fraction(1)}
+            for x, e in zip(coords, m):
+                term = dense_mul(term, dense_pow(x, e, cap, ngens), cap)
+            acc = dense_add(acc, dense_scale(term, Fraction(c)))
+        out.append(acc)
+    return out
+
+
+def weighted_sum(weights: Sequence, points: Sequence[Sequence[Dense]]) -> List[Dense]:
+    """sum_j w_j P_j coordinate by coordinate, each weight a Fraction and each
+    coordinate a dense Fraction dict."""
+    out: List[Dense] = [{} for _ in points[0]]
+    for w, P in zip(weights, points):
+        out = [dense_add(acc, dense_scale(x, Fraction(w))) for acc, x in zip(out, P)]
+    return out
+
+
+def matrix_inverse(mat: Sequence[Sequence]) -> object:
+    """The inverse of a square rational matrix from the reduced row echelon
+    form of [M | I], or None when M is singular."""
+    n = len(mat)
+    rows = rref([[Fraction(q) for q in row] + [Fraction(int(i == j)) for j in range(n)]
+                 for i, row in enumerate(mat)])
+    if [row[:n] for row in rows] != [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]:
+        return None
+    return [row[n:] for row in rows]
+
+
 # -- Fraction polynomial arithmetic (the dict-of-Fractions Poly it replaced) ----------
 
 

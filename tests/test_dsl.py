@@ -5,6 +5,7 @@ scenario, and every rejected file must carry a 1-based position at the point
 of failure together with an expected/found pair.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,36 @@ def test_declarations_carry_polymap_objects():
     assert [expr_to_poly(e, 2) for e in f.bodies] == [x + y ** 2, y + x * Fraction(3, 2)]
     sq = parse_scenario("map h(x) -> 1 { sqrt(x) / 2 }").statements[0]
     assert sq.bodies == (Div(Sqrt(Var(0)), Const(Fraction(2))),)
+
+
+def test_integer_literals_stay_ints_and_a_quotient_folds_to_one_fraction(monkeypatch):
+    for text, value in (("2", 2), ("-7", -7), ("2 * 3 - 10", -4), ("4/2", 2)):
+        node = parse_expression(text)
+        assert node == Const(value) and type(node.value) is (Fraction if "/" in text else int)
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    node = parse_expression("5/2")
+    monkeypatch.undo()
+    assert node == Const(Fraction(5, 2)) and built == [(5, 2)]
+    assert render_expr(node) == "5/2" and render_expr(parse_expression("x * 3")) == "x * 3"
+
+
+def test_term_budget_bounds_each_part_by_the_variables_it_uses():
+    """A product's bound is capped by the dense count over the variables its
+    factors use: (x+1)^500·(x+1)^499 has 1,000 terms, as (x+1)^999 has."""
+    for body in ("(x+1)^500 * (x+1)^499", "(x+1)^999", "(x+y+1)^43", "(x+1)^900 * y"):
+        parse_scenario(f"map f(x, y) -> 1 {{ {body} }}")
+    for body in ("(x+1)^1000", "(x+y+1)^44", "(x+1)^500 * (x+1)^500", "(x+1)^999 * (y+1)"):
+        text = f"map f(x, y) -> 1 {{ {body} }}"
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="term budget"):
+                parse_scenario(text)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.001, (body, times)
 
 
 def test_sqrt_allowed_in_map_bodies_only():

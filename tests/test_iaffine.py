@@ -19,7 +19,9 @@ from _oracles import (
     contract,
     derivative_identity_witnesses,
     monomials_up_to,
+    point_dense,
     poly_diff,
+    weighted_sum,
 )
 
 from weilaff import (
@@ -93,9 +95,41 @@ def test_weights_must_sum_to_one():
 
 def test_basis_weights():
     w = basis_weights(3, 1)
-    assert tuple(w) == (0, 1, 0)
+    assert tuple(w) == (0, 1, 0) and (w.nums, w.den) == ((0, 1, 0), 1)
     with pytest.raises(WeilError):
         basis_weights(3, 3)
+
+
+def test_weights_keep_integer_numerators_beside_their_values():
+    w = AffineWeights((Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)))
+    assert (w.nums, w.den) == ((3, -2, 5), 6)
+    assert all(type(v) is Fraction for v in w.values)
+    with pytest.raises(WeilError, match="got 5/4"):
+        AffineWeights((Fraction(3, 4), Fraction(1, 2)))
+
+
+# weights with unlike denominators up to 120: their numerators over one
+# denominator differ from each Fraction's own
+_RATIONAL = st.one_of(st.sampled_from([0, 1, -1, 3]),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=120))
+
+
+def _affine_weights(draw, size):
+    head = [draw(_RATIONAL) for _ in range(size - 1)]
+    return tuple(head) + (1 - sum(head, Fraction(0)),)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_weighted_point_sum_matches_the_fraction_oracle(data):
+    n, t = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+    ctx = make_truncated_context([("e", 3, 2)])
+    gens = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, 2)]
+    coord = st.dictionaries(st.sampled_from(gens), _RATIONAL, max_size=4).map(ctx.element)
+    points = [PointVec(ctx, tuple(data.draw(coord) for _ in range(n))) for _ in range(t)]
+    weights = _affine_weights(data.draw, t)
+    got = weighted_point_sum(weights, points)
+    assert point_dense(got) == weighted_sum(weights, [point_dense(P) for P in points])
 
 
 def test_weighted_sum_count_mismatch():
@@ -353,14 +387,11 @@ def connection_cases(draw):
         for i in range(n)
     ]
 
-    def affine(size):
-        head = [draw(SMALL) for _ in range(size - 1)]
-        return tuple(head) + (1 - sum(head, Fraction(0)),)
-
-    families = [affine(t) for _ in range(draw(st.integers(1, 3)))]
+    families = [_affine_weights(draw, t) for _ in range(draw(st.integers(1, 3)))]
     families.append(basis_weights(t, draw(st.integers(0, t - 1))))
     _, pts = generic_Ak_tuple(n, cap, t, base=[draw(SMALL) for _ in range(n)])
-    return Connection(n, entries), PolyMap(n, n, chart), pts, families, affine(len(families))
+    return (Connection(n, entries), PolyMap(n, n, chart), pts, families,
+            _affine_weights(draw, len(families)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -764,6 +795,34 @@ def test_connection_axioms_evaluate_gamma_once_per_tuple_and_each_pair_once(monk
     assert at_points[0] == pts[0] and all(P.is_rational() for P in at_points)
     assert counts["apply"] <= t * (t - 1) // 2 + F * (F - 1) // 2
     assert per_entry["axioms/projection"] == 0
+
+
+def test_maps_and_combines_build_no_fraction(monkeypatch):
+    """Coefficients reach the kernel as integers over one divisor: with the
+    map and the weights built, evaluating the map and combining the points
+    build no Fraction, however fractional the coefficients and weights."""
+    x, y = xy_polys()
+    conn = Connection(2, {(0, 0, 0): x * Fraction(2, 3) + Fraction(1, 5),
+                          (0, 0, 1): y * Fraction(1, 7),
+                          (1, 1, 1): x + y, (1, 0, 0): Fraction(-3, 4)})
+    f = PolyMap(2, 2, [x * x * Fraction(5, 6) + y * Fraction(1, 3), x * y * Fraction(-2, 9) + 1])
+    _, pts = generic_Ak_tuple(2, 2, 4, base=(Fraction(1, 2), -2))
+    families = [AffineWeights((Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), 1)),
+                basis_weights(4, 2)]
+    combine = ConnectionAction(conn).combiner(pts)
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    images = [eval_map(f, P) for P in pts]
+    sums = [weighted_point_sum(w, images) for w in families]
+    combined = [combine(w) for w in families]
+    monkeypatch.undo()
+    assert built == []
+    assert sums[1] == images[2] and combined[1] == pts[2]
+    for w, s, c in zip(families, sums, combined):
+        assert s == weighted_point_sum(w.values, images)
+        assert c == direct_combine(conn.at(pts[0]), w.values, pts)
 
 
 def test_retract_axioms_embed_each_point_once_for_all_combines(monkeypatch):

@@ -35,16 +35,16 @@ from weilaff import (
     parse_scenario,
 )
 
+from weilaff import weil
+
 from _oracles import (
     as_dense,
-    dense_add,
-    dense_mul,
     dense_pow,
-    dense_scale,
     expr_poly,
     poly_add,
     poly_clean,
     poly_diff,
+    poly_map_eval,
     poly_mul,
     poly_pow,
     poly_scale,
@@ -67,27 +67,28 @@ def test_eval_square_on_cap_one():
 _Q = st.fractions(min_value=Fraction(-5, 2), max_value=Fraction(5, 2), max_denominator=6)
 
 
+# coefficients of a map: unlike denominators up to 360 within one component,
+# so its integer numerators over one denominator are not the Fractions' own
+_MAP_COEF = st.one_of(_Q, st.integers(-9, 9),
+                      st.fractions(min_value=-40, max_value=40, max_denominator=360))
+
+
 @settings(max_examples=80, derandomize=True)
 @given(st.data())
 def test_eval_map_is_the_sum_of_coefficients_times_powers(data):
-    """Against dense arithmetic: component j at P is the sum of c * prod P[i]**e."""
+    """Against dense Fraction arithmetic: component j at P is the sum of
+    c * prod P[i]**e."""
     n, out_dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
     c = make_truncated_context([("e", 2, data.draw(st.integers(1, 3)))])
-    ngens, cap = c.ngens, c.degree_cap
+    ngens = c.ngens
     gens = [(0,) * ngens] + [tuple(int(i == g) for i in range(ngens)) for g in range(ngens)]
     coord = st.dictionaries(st.sampled_from(gens), _Q, max_size=3).map(c.element)
     P = PointVec(c, tuple(data.draw(coord) for _ in range(n)))
     exps = st.tuples(*[st.integers(0, 3)] * n)
-    comps = [Poly(n, data.draw(st.dictionaries(exps, _Q, max_size=5))) for _ in range(out_dim)]
-    got = eval_map(PolyMap(n, out_dim, comps), P)
-    for p, y in zip(comps, got):
-        want = {}
-        for m, q in p.terms.items():
-            term = {(0,) * ngens: Fraction(1)}
-            for x, e in zip(P, m):
-                term = dense_mul(term, dense_pow(as_dense(x), e, cap, ngens), cap)
-            want = dense_add(want, dense_scale(term, q))
-        assert as_dense(y) == want
+    raw = [data.draw(st.dictionaries(exps, _MAP_COEF, max_size=5)) for _ in range(out_dim)]
+    got = eval_map(PolyMap(n, out_dim, [Poly(n, terms) for terms in raw]), P)
+    want = poly_map_eval(raw, [as_dense(x) for x in P], c.degree_cap, ngens)
+    assert [as_dense(y) for y in got] == want
 
 
 def test_eval_cube_against_dense_oracle():
@@ -378,6 +379,24 @@ def test_jet_order_must_be_positive():
     c = make_truncated_context([])
     with pytest.raises(WeilError):
         jet(square(), c.point((1,)), 0)
+
+
+def test_two_jets_at_points_of_one_context_build_one_jet_context(monkeypatch):
+    """The base context holds the context a jet adjoins to it, so a second
+    jet of the same order and dimension builds no context."""
+    c = make_truncated_context([("e", 2, 2)])
+    built = []
+    init = weil.WeilContext.__init__
+    monkeypatch.setattr(weil.WeilContext, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    f = PolyMap(2, 1, [Poly(2, {(2, 0): 1, (1, 1): Fraction(1, 3)})])
+    first = jet(f, c.point((1, c.gen(0))), 2)
+    second = jet(f, c.point((c.gen(1), 2)), 2)
+    assert len(built) == 1 and built[0][0][-2:] == ("∂1", "∂2")
+    assert first != second and first[0][(0, 0)] == 1 + c.gen(0) / 3
+    assert jet(f, c.point((1, c.gen(0))), 2) == first and len(built) == 1
+    jet(f, c.point((1, 2)), 3)  # another order adjoins another block
+    assert len(built) == 2
 
 
 # -- Taylor representation -----------------------------------------------------------------

@@ -89,6 +89,14 @@ def test_copy_and_pickle_keep_every_field():
     for clone in (copy.copy(decl), copy.deepcopy(decl), pickle.loads(pickle.dumps(decl))):
         assert clone == decl and (clone.dim, clone.line) == (1, 6)
     assert pickle.loads(pickle.dumps(AffineWeights((2, -1)))) == AffineWeights((2, -1))
+    # weights compare, hash, copy and pickle by their values; the integer
+    # numerators and denominator ride along
+    w = AffineWeights((1, Fraction(1, 2), Fraction(-1, 2)))
+    assert w == AffineWeights((Fraction(2, 2), Fraction(2, 4), -Fraction(1, 2)))
+    assert w != AffineWeights((1, 0, 0)) and hash(w) == hash(AffineWeights(w.values))
+    for clone in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert clone == w and hash(clone) == hash(w) and clone.values == w.values
+        assert (clone.nums, clone.den) == ((2, 1, -1), 2)
 
 
 def test_report_classes_stay_mutable_and_unhashable():

@@ -7,6 +7,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,7 +30,7 @@ from weilaff import (
     monomials_of_degree,
     sqrt,
 )
-from weilaff import weil
+from weilaff import neighborhoods, weil
 from weilaff.weil import WeilElement, _contract, _decimal, _lincomb
 
 from _oracles import (
@@ -41,6 +42,7 @@ from _oracles import (
     dense_pow,
     dense_scale,
     ideal_membership,
+    matrix_inverse,
     monomials_up_to,
     nilsquare_relations,
     reduces_to_zero,
@@ -279,6 +281,30 @@ def test_mat_inverse_builds_no_product_with_a_constant(monkeypatch):
     monkeypatch.undo()
     ident = [[c.scalar(int(i == j)) for j in range(3)] for i in range(3)]
     assert mat_mul(M, inv) == ident and mat_mul(inv, M) == ident
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=30))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_mat_inverse_of_constant_matrices_matches_the_fraction_oracle(data):
+    """With no nilpotent part M^-1 is C^-1, built with no product."""
+    n = data.draw(st.integers(1, 4))
+    C = [[data.draw(_ENTRY) for _ in range(n)] for _ in range(n)]
+    c = make_truncated_context([("d", 2, 2)])
+    want = matrix_inverse(C)
+    calls = []
+    mul = WeilElement.__mul__
+    with mock.patch.object(WeilElement, "__mul__", lambda x, y: calls.append(1) or mul(x, y)):
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                mat_inverse([[c.scalar(q) for q in row] for row in C])
+            return
+        got = mat_inverse([[c.scalar(q) for q in row] for row in C])
+    assert calls == []
+    assert [[x.coeffs for x in row] for row in got] == [
+        [{(0, 0): q} if q else {} for q in row] for row in want]
 
 
 def test_mat_inverse_singular_rejected():
@@ -851,6 +877,21 @@ def test_a_warm_model_build_builds_no_intern_key(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_warm_model_build_hashes_its_key_once(monkeypatch):
+    """The per-shape key keeps its hash: a warm build hashes none of the
+    nested tuple, only asks the key for the hash it holds."""
+    held = generic_nilsquare_tuple(4, 4)[0]
+    key = neighborhoods._symmetric_presentation(4, 1, 4, 4)[-1]
+    asked = []
+    monkeypatch.setattr(weil._Key, "__hash__", lambda self: asked.append(self) or self.hash)
+    assert generic_nilsquare_tuple(4, 4)[0] is held
+    assert asked == [key] and key.hash == hash(tuple(key))
+    # keys of equal presentations are equal, of others not
+    again = weil._presentation_key(held.names, held.blocks, held.relations)
+    assert again == key and again is not key and weil._contexts.get(again) is held
+    assert again != weil._presentation_key(held.names[::-1], held.blocks, held.relations)
+
+
 def test_models_of_one_shape_share_their_context_not_their_points():
     first_base, second_base = (1, Fraction(1, 2)), (-3, 0)
     a_ctx, a = generic_symmetric_Ak_tuple(2, 1, 4, base=first_base)
@@ -1181,13 +1222,58 @@ def test_lincomb_is_the_left_to_right_sum(data):
     case = data.draw(CASE)
     ctx = KERNEL_CASES[case][0]
     elements = _case_elements(case) | st.just(ctx.zero())
+    den = data.draw(st.sampled_from([1, 1, 2, 6, 35]))
     pairs = data.draw(st.lists(st.tuples(_scalars(), elements), max_size=5))
-    got = _lincomb(ctx, pairs)
+    got = _lincomb(ctx, pairs, den)
     want = ctx.zero()
     for q, x in pairs:
         want = want + q * x
-    assert got == want
+    assert got == want / den
     _assert_canonical(got)
+
+
+def test_lincomb_returns_one_term_of_weight_one_itself_and_zero_for_none():
+    ctx = make_truncated_context([("e", 2, 2)])
+    x = ctx.gen(0) / 3 + 2
+    assert _lincomb(ctx, [(1, x)]) is x and _lincomb(ctx, [(4, x)], 4) is x
+    assert _lincomb(ctx, [(0, ctx.gen(1)), (7, x), (3, ctx.zero())], 7) is x
+    assert _lincomb(ctx, [(2, x)], 4) == x / 2
+    for pairs in ([], [(0, x)], [(5, ctx.zero())]):
+        assert _lincomb(ctx, pairs, 3) == ctx.zero() and _lincomb(ctx, pairs).num == {}
+
+
+def _snapshot(values):
+    return [(x, dict(x._num), x.den) for x in values]
+
+
+def _unchanged(snapshot):
+    return all(x._num == num and x.den == den for x, num, den in snapshot)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_kernel_operations_leave_their_inputs_unchanged(data):
+    """No operation writes into an input's numerators, so results may share
+    them (a one-term _lincomb returns its element itself)."""
+    case = data.draw(CASE)
+    ctx = KERNEL_CASES[case][0]
+    xs = data.draw(st.lists(_case_elements(case), min_size=2, max_size=4))
+    nils = [x.nilpotent_part() for x in xs]
+    units = [nils[0] + 1, nils[1] - Fraction(2, 3)]
+    before = _snapshot(xs + nils + units)
+    x, y = xs[0], xs[1]
+    results = [x + y, x - y, x * y, -x, x ** 3, x * Fraction(2, 3), x / 5,
+               _lincomb(ctx, [(1, x)]), _lincomb(ctx, [(3, x), (-2, y)], 6),
+               *_contract(ctx, [{(0, 1): 2, (1,): 1, (): 3}], [xs, xs], [4]),
+               invert(units[0]), *mat_inverse([[units[0], nils[1]], [nils[0], units[1]]])[0]]
+    if case == "truncated":  # a square constant term
+        results.append(sqrt(units[0] * units[0]))
+    assert _unchanged(before)
+    # nor does building on the results change them
+    after = _snapshot(results)
+    for r in results:
+        r * r + r
+    assert _unchanged(after) and _unchanged(before)
 
 
 def test_lincomb_rejects_another_context():
@@ -1220,8 +1306,11 @@ def _contraction(data, case):
 def test_contract_matches_the_naive_contraction(data):
     case = data.draw(CASE)
     ctx, rows, vectors = _contraction(data, case)
-    got = _contract(ctx, rows, vectors)
-    assert got == contract(ctx.zero(), ctx.one(), rows, vectors)
+    dens = data.draw(st.one_of(st.none(), st.lists(st.integers(1, 12), min_size=len(rows),
+                                                    max_size=len(rows))))
+    got = _contract(ctx, rows, vectors, dens)
+    want = contract(ctx.zero(), ctx.one(), rows, vectors)
+    assert got == (want if dens is None else [x / d for x, d in zip(want, dens)])
     for x in got:
         _assert_canonical(x)
 
