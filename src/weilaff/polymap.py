@@ -225,11 +225,12 @@ class Poly:
         return Poly._of(nv, *_sum_scaled(scaled))
 
     def format(self, var_names: Sequence[str]) -> str:
-        if not self.terms:
+        terms = self.terms  # a view built anew on each read
+        if not terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda mm: (sum(mm), tuple(-e for e in mm))):
-            c = self.terms[m]
+        for m in sorted(terms, key=lambda mm: (sum(mm), tuple(-e for e in mm))):
+            c = terms[m]
             factors = []
             for name, e in zip(var_names, m):
                 if e == 1:

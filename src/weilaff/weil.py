@@ -9,13 +9,17 @@ Cross-block degrees are only limited by the per-block caps, so ``eps1*delta1``
 survives caps (1, 1).  On top of the caps a context may carry homogeneous
 polynomial relations; each graded component is then reduced modulo the span
 of ``relation * monomial`` over the monomials the caps leave alive, via a
-cached reduced row echelon basis.  A degree in which every such monomial has
-a divisor of one degree less that is a pivot there is full, and its basis is
-the identity, built without elimination (the leading monomials of the
-degree below, times the generators, cover it).  Every higher degree is then
-full too, so the context knows the degree from which everything vanishes:
-products stop there, and :meth:`WeilContext.vanishes_from` lets the
-neighbourhood searches prune against it.
+cached reduced row echelon basis.  Its pivots are the leading monomials and
+the others the standard ones: a row with pivot coefficient 1 gives the
+normal form of its pivot, ``p ≡ p − row``, in integers, and the context
+keeps these as a rewrite table, read off each basis as it is built.  A
+degree in which every alive monomial has a divisor of one degree less
+that is a pivot there is full, and its basis is the identity, built
+without elimination (the leading monomials of the degree below, times the
+generators, cover it).  Every higher degree is then full too, so the
+context knows the degree from which everything vanishes: products stop
+there, and :meth:`WeilContext.vanishes_from` lets the neighbourhood
+searches prune against it.
 
 :func:`make_truncated_context` builds the general case from blocks (plus
 optional relations); :func:`make_quotient_context` is one block covering
@@ -47,18 +51,24 @@ reading coefficients, constant terms and witnesses back.  A product visits
 only the pairs of terms whose degrees fit under the known top degree, and a
 factor of one term ``c·m`` visits no pair: the other factor's monomials are
 shifted by ``m`` (one integer addition each), those past a cap dropped, and
-scaled by ``c``.  Relation reduction runs on integer rows, and a linear
-combination of elements is built over one common denominator and brought
-to lowest terms once.  All arithmetic is exact; nothing here ever touches
-floats.
+scaled by ``c``.  Under relations a product writes its normal form as it
+multiplies: where a pair lands on a pivot, the pivot's terms from the
+rewrite table are added in its place.  That is exact, since reduction is
+linear and each row vanishes on every other pivot; only the pivots of rows
+with another pivot coefficient are left to reduce afterwards, and so is
+every product while binding caps leave a degree it may reach unbuilt.
+Relation reduction runs on integer rows, and a linear combination of
+elements is built over one common denominator and brought to lowest terms
+once.  All arithmetic is exact; nothing here ever touches floats.
 
 Contexts are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): both makers return the live context of an equal
 presentation (the same names, blocks with their labels, and cleaned
 relations) when one exists, so every model built alike shares one object,
-and with it the relation bases, the packed relations, the generators and
-the ideal key, built once while anyone holds it.  The table holds its contexts weakly: a
-context nobody holds is collected with everything it built.  Two
+and with it the relation bases, the rewrite table, the packed relations,
+the generators and the ideal key, built once while anyone holds it.  The
+table holds its contexts weakly: a context nobody holds is collected with
+everything it built.  Two
 presentations of one ideal stay two objects that compare equal.
 """
 
@@ -187,7 +197,8 @@ class WeilContext:
     relations span the same ideal modulo the caps, however they are listed.
 
     A context is immutable apart from lazy caches that are filled
-    idempotently (the relation bases, the ideal key, the generators' normal
+    idempotently (the relation bases and the rewrite table read off them,
+    the ideal key, the generators' normal
     forms, kept as numerators and denominator, and the contexts
     :func:`_adjoin` built on it) or only ever lowered
     (the known top degree), so one context is safely shared by everything
@@ -201,7 +212,8 @@ class WeilContext:
     __slots__ = (
         "names", "blocks", "relations", "degree_cap", "_binding", "_sig",
         "_mask", "_offsets", "_units", "_dshift", "_bias", "_guard", "_rels",
-        "_bases", "_ideal", "_top", "_gens", "_adjoined", "__weakref__",
+        "_bases", "_rewrite", "_nonunit", "_ideal", "_top", "_gens", "_adjoined",
+        "__weakref__",
     )
 
     def __init__(self, names: tuple, blocks: tuple, relations: tuple):
@@ -248,6 +260,10 @@ class WeilContext:
         # from them; populated lazily and idempotently (recomputation yields
         # the identical value, so a race merely duplicates work)
         self._bases = {}
+        # the products' rewrite table, read off the bases as each is built:
+        # a pivot with coefficient 1 -> its normal form's (monomial,
+        # integer) terms; the rows with another pivot coefficient by pivot
+        self._rewrite, self._nonunit = {}, {}
         self._ideal = None
         self._gens = self._adjoined = None
         # every degree above this one vanishes; it drops when a basis turns
@@ -452,8 +468,50 @@ class WeilContext:
                 if d > self._top + 1:
                     break
                 if d not in self._bases:
-                    self._bases[d] = self._build_basis(d)
+                    basis = self._bases[d] = self._build_basis(d)
+                    if d <= self._top:  # no product reaches a full degree
+                        self._index(basis)
         return self._bases.get(degree)
+
+    def _index(self, basis: dict) -> None:
+        """Add one degree's pivots to the rewrite table.  A row ``r`` with
+        pivot ``p`` says ``pc·p ≡ pc·p − r``; with ``pc = 1`` that is the
+        normal form of ``p``, integral, since ``r`` vanishes on every other
+        pivot.  Other rows are left for :func:`_reduce_at_degree`."""
+        rewrite, nonunit = self._rewrite, self._nonunit
+        for p, (pc, row) in basis.items():
+            if pc == 1:
+                rewrite[p] = tuple([(m, -c) for m, c in row.items() if m != p])
+            else:
+                nonunit[p] = (pc, row)
+
+    def _rewrites(self, degree: int):
+        """The rewrite table of a context with relations, once it covers
+        every degree up to ``degree`` (or the known top, if lower), or None
+        under binding block caps while one of those degrees is unbuilt.
+        The caps may kill a product's highest terms, so there the factors'
+        degrees can lie well above what the product reaches, and a basis
+        built for them would be elimination spent on nothing; such a
+        product reduces afterwards, building only the degrees it reaches."""
+        degree = min(degree, self._top)
+        if degree > len(self._bases):  # the bases are built from degree 1 up
+            if self._guard:
+                return None
+            self._degree_basis(degree)
+        return self._rewrite
+
+    def _rewritten(self, out: dict, den: int) -> "WeilElement":
+        """The element ``out / den``, given integer numerators already
+        rewritten through the table (zeros allowed): only the pivots of rows
+        with a pivot coefficient other than 1 are left to reduce."""
+        out = {m: c for m, c in out.items() if c}
+        nonunit = self._nonunit
+        if nonunit:
+            hits = [(out[p], nonunit[p]) for p in nonunit.keys() & out.keys()]
+            if hits:
+                out, scale = _reduce_at_degree(out, hits)
+                den *= scale
+        return WeilElement(self, *_lowest_terms(out, den))
 
     def _alive(self, degree: int) -> list:
         """The packed monomials of total degree ``degree`` that the caps
@@ -570,7 +628,8 @@ def _reduce_at_degree(vec: dict, hits: list) -> tuple:
     """
     scale = 1
     for c, (pc, _) in hits:
-        scale = math.lcm(scale, pc // math.gcd(pc, c))
+        if pc != 1:  # a unit pivot needs no scale
+            scale = math.lcm(scale, pc // math.gcd(pc, c))
     out = {m: c * scale for m, c in vec.items()} if scale != 1 else dict(vec)
     for c, (pc, row) in hits:
         f = c * scale // pc
@@ -949,6 +1008,8 @@ class WeilElement:
             return NotImplemented
         ctx = self.context
         a, b = self._num, other._num
+        if not a or not b:
+            return ctx.zero()
         x, y = self, other
         if len(a) == 1 and (len(b) != 1 or 0 in a):
             x, y, a, b = other, self, b, a  # the one-term factor on the right
@@ -958,16 +1019,31 @@ class WeilElement:
             ((m, c),) = b.items()
             if not m:
                 return x._scaled(c, y.den)
+            # the table first: building a basis may lower the top
+            rewrite = ctx._rewrites((max(a) + m) >> ctx._dshift) if ctx.relations else None
             limit = (ctx._top + 1) << ctx._dshift
             bias, guard = ctx._bias, ctx._guard
-            # a loop, not a comprehension: one would turn the names it reads
-            # into cells, which the pair loop below reads
+            # loops, not comprehensions: one would turn the names it reads
+            # into cells, which the pair loops below read
             out = {}
+            if rewrite is None:
+                for key, v in a.items():
+                    key += m
+                    if key < limit and not (key + bias) & guard:
+                        out[key] = v * c
+                return ctx._normal_form(out, x.den * y.den)
+            get = rewrite.get
             for key, v in a.items():
                 key += m
                 if key < limit and not (key + bias) & guard:
-                    out[key] = v * c
-            return ctx._normal_form(out, x.den * y.den)
+                    terms = get(key)
+                    if terms is None:
+                        out[key] = out.get(key, 0) + v * c
+                    else:  # a pivot: its normal form in its place
+                        v *= c
+                        for k, w in terms:
+                            out[k] = out.get(k, 0) + v * w
+            return ctx._rewritten(out, x.den * y.den)
         # constant terms only scale: xy = a0·y + b0·x' + x'y', and x'y' visits pairs
         a0, b0 = a.get(0), b.get(0)
         out = {m: c * a0 for m, c in b.items()} if a0 else {}
@@ -988,8 +1064,24 @@ class WeilElement:
         for terms in graded[1:]:
             right.extend(terms)
             ends.append(len(right))
+        rewrite = ctx._rewrites((max(a) + max(b)) >> dshift) if ctx.relations else None
         top = ctx._top
         bias, guard = ctx._bias, ctx._guard
+        if rewrite is None:
+            for m1, c1 in a.items():
+                room = top - (m1 >> dshift)
+                if room < 0 or not m1:
+                    continue
+                for m2, c2 in right[: ends[room]]:
+                    key = m1 + m2
+                    if guard and (key + bias) & guard:
+                        continue
+                    out[key] = out.get(key, 0) + c1 * c2
+            # the loop already applied every cap; only relations remain
+            return ctx._normal_form({m: c for m, c in out.items() if c}, x.den * y.den)
+        # the same loop, adding each pivot's normal form in its place: the
+        # product comes out reduced, with nothing left to scan
+        get = rewrite.get
         for m1, c1 in a.items():
             room = top - (m1 >> dshift)
             if room < 0 or not m1:
@@ -998,9 +1090,14 @@ class WeilElement:
                 key = m1 + m2
                 if guard and (key + bias) & guard:
                     continue
-                out[key] = out.get(key, 0) + c1 * c2
-        # the loop already applied every cap; only relations remain
-        return ctx._normal_form({m: c for m, c in out.items() if c}, self.den * other.den)
+                terms = get(key)
+                if terms is None:
+                    out[key] = out.get(key, 0) + c1 * c2
+                else:
+                    c = c1 * c2
+                    for k, w in terms:
+                        out[k] = out.get(k, 0) + c * w
+        return ctx._rewritten(out, x.den * y.den)
 
     __rmul__ = __mul__
 

@@ -240,6 +240,17 @@ def test_poly_rejects_inexact_and_misshapen_terms():
         Poly.variable(2, 1).substitute([Poly.variable(1, 0), Poly.variable(2, 0)])
 
 
+def test_format_reads_the_terms_view_once(monkeypatch):
+    """``terms`` builds one Fraction per term on every read, so a format that
+    read it per term was quadratic in the terms."""
+    p = (Poly.variable(2, 0) + 1) ** 20 + Poly.variable(2, 1) * Fraction(-2, 3)
+    view, reads = Poly.terms, []
+    monkeypatch.setattr(Poly, "terms", property(lambda self: reads.append(self) or view.fget(self)))
+    text = p.format(["x", "y"])
+    assert reads == [p]
+    assert text.startswith("1 + 20*x - 2/3*y + 190*x^2 + ") and text.endswith(" + x^20")
+
+
 # -- composition -----------------------------------------------------------------------
 
 

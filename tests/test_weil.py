@@ -1079,8 +1079,12 @@ def _grlex(ctx):
     def poly(terms):
         return R.from_dict({m: sympy.QQ(c.numerator, c.denominator) for m, c in terms.items()})
 
+    # binding block caps enter as their monomial relations
+    caps = cap_relations([(b.start, b.count, b.cap) for b in ctx.blocks if b.cap < ctx.degree_cap],
+                         ctx.ngens)
     basis = [poly(dict(g.terms())) for g in sympy.groebner(
-        [poly(r).as_expr() for r in ctx.relations], *R.symbols, order="grlex", domain="QQ"
+        [poly(r).as_expr() for r in list(ctx.relations) + caps], *R.symbols, order="grlex",
+        domain="QQ",
     ).polys]
 
     def normal_form(raw):
@@ -1140,6 +1144,113 @@ def test_random_quotient_normal_forms_against_sympy(data):
     monos = _up_to(n, ctx.degree_cap)
     sparse = data.draw(st.lists(st.dictionaries(st.sampled_from(monos), _NONZERO, max_size=6), max_size=3))
     _assert_matches_sympy(ctx, random.Random(data.draw(st.integers(0, 99))), sparse)
+
+
+# -- products through the rewrite table ------------------------------------------------------
+
+
+def _block_relations(ngens):
+    """Homogeneous relations of degree 2 or 3 over every generator: a pivot
+    coefficient other than 1 (``2·xi² − 3·xj²``, across blocks when i and j
+    lie in two), or a few random terms."""
+    scaled = st.tuples(st.integers(0, ngens - 1), st.integers(0, ngens - 1)).filter(
+        lambda ij: ij[0] != ij[1]).map(lambda ij: {
+            tuple(2 * (k == ij[0]) for k in range(ngens)): 2,
+            tuple(2 * (k == ij[1]) for k in range(ngens)): -3,
+        })
+    return st.one_of(scaled, _homogeneous(ngens))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_quotient_products_against_membership_and_sympy(data):
+    # 2-3 blocks, every one binding: their caps sum to at most 4
+    shape = data.draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=2,
+                               max_size=3).filter(lambda bs: sum(c for _, c in bs) <= 4
+                                                  and sum(n for n, _ in bs) <= 4))
+    blocks = [(f"b{i}", n, cap) for i, (n, cap) in enumerate(shape)]
+    ngens = sum(n for n, _ in shape)
+    rels = data.draw(st.lists(_block_relations(ngens), min_size=1, max_size=3))
+    ctx = make_truncated_context(blocks, rels)
+    starts = itertools.accumulate([0] + [n for n, _ in shape])
+    member = ideal_membership(
+        list(ctx.relations) + cap_relations([(s, n, c) for s, (n, c) in zip(starts, shape)], ngens),
+        ngens, ctx.degree_cap)
+    normal_form, _ = _grlex(ctx)
+    monos = _up_to(ngens, ctx.degree_cap)[1:]
+    general = st.dictionaries(st.sampled_from(_up_to(ngens, 2)), _NONZERO, min_size=2, max_size=5)
+    one_term = st.dictionaries(st.sampled_from(monos), _NONZERO, min_size=1, max_size=1)
+    raw_x = data.draw(general)
+    raw_y = data.draw(st.one_of(general, one_term))
+    x, y = ctx.element(raw_x), ctx.element(raw_y)
+    # first as it comes (a cold context reduces afterwards), then with every
+    # basis, and so the whole table, built
+    cold = x * y
+    ctx.vanishes_from(ctx.degree_cap)
+    for got in (cold, x * y, y * x):
+        _assert_canonical(got)
+        raw = dense_mul(as_dense(x), as_dense(y), ctx.degree_cap)
+        assert member(dense_add(raw, dense_scale(as_dense(got), Fraction(-1))))
+        assert got.coeffs == normal_form(raw)
+
+
+def _nilsquare_fresh():
+    """The nil-square (3,4) ideal under names no other test uses, so its
+    context starts with no basis built."""
+    names = [f"f{i}" for i in range(9)]
+    return make_quotient_context(names, nilsquare_relations(3, 4), 4)
+
+
+def test_rewrite_table_fills_lazily_degree_by_degree():
+    ctx = _nilsquare_fresh()
+    x, y, z = ctx.gens()[::4]  # three points, three coordinates
+    dshift = ctx._dshift
+    assert set(ctx._bases) <= {1} and not ctx._rewrite
+    xy = (1 + x + y) * (2 + y + z)
+    assert set(ctx._bases) == {1, 2}
+    assert {p >> dshift for p in ctx._rewrite} == {2}
+    xy * (x + z)
+    assert set(ctx._bases) == {1, 2, 3} and {p >> dshift for p in ctx._rewrite} == {2, 3}
+    # each pivot's terms are its normal form, read off its basis row
+    for d, basis in ctx._bases.items():
+        assert set(basis) == {p for p in ctx._rewrite if p >> dshift == d}
+    for p, terms in ctx._rewrite.items():
+        assert ctx.element({ctx._unpack(p): 1})._num == dict(terms)
+    assert not ctx._nonunit
+
+
+def test_rewrite_table_refers_to_no_element():
+    ctx = KERNEL_CASES["quotient-scaled"][0]
+    ctx.vanishes_from(ctx.degree_cap)
+    assert ctx._rewrite and ctx._nonunit
+    todo, seen = [ctx._rewrite, ctx._nonunit], 0
+    while todo:
+        obj = todo.pop()
+        seen += 1
+        assert type(obj) in (dict, tuple, int)
+        if type(obj) is not int:
+            todo.extend(gc.get_referents(obj))
+    assert seen > len(ctx._rewrite)
+
+
+def test_products_with_unit_pivots_reduce_nothing_afterwards(monkeypatch):
+    ctx = _nilsquare_fresh()
+    gens = ctx.gens()
+    x = 3 + gens[0] - gens[4] * Fraction(1, 2) + gens[0] * gens[6]
+    y = gens[3] + gens[1] * 2 + gens[7] * gens[8]
+    one_term = gens[5] * Fraction(2, 3)
+    want = [ctx.element(dense_mul(as_dense(a), as_dense(b), 4))
+            for a, b in ((x, y), (x, one_term), (x * y, x + y))]
+    calls = []
+    reduce = weil._reduce_at_degree
+    monkeypatch.setattr(weil, "_reduce_at_degree", lambda *args: calls.append(args) or reduce(*args))
+    assert [x * y, x * one_term, (x * y) * (x + y)] == want
+    assert not calls and not ctx._nonunit
+    # a pivot coefficient of 2 is still reduced, by its rows alone
+    c = KERNEL_CASES["quotient-scaled"][0]
+    u = c.gen(0)
+    assert (u * u).coeffs == {(0, 1, 1): Fraction(-3, 2)} and calls
+    assert all(pc != 1 for _, hits in calls for _, (pc, _) in hits)
 
 
 # -- packed monomials ----------------------------------------------------------------------
