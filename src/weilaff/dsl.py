@@ -25,13 +25,16 @@ relation or a GAMMA entry, names resolve to `Var` as they are read.  Points, che
 vectors and `eval --expr` strings add the leaves `ERef` (a point or an
 indexed generator), `EVec` (a coordinate tuple) and `ECall` (a map call).
 
-Tokens come from one compiled pattern, the token table `_TOKEN_PATTERN`,
-scanned with maximal munch.  After blanks (space, tab, `\r`) comes an ASCII
-integer of at most 4,300 digits, a name (`str.isalnum` or `_`, starting with
-`str.isalpha` or `_`), `->` or one of `(){}[],;=+-*/^`, a newline (a token
-only outside brackets), a `#` comment to the end of the line (the NEWLINE or
-EOF after it keeps the comment's column) or the end of input.  Anything else
-is a ParseError at its line and column.
+Tokens are strings from one scan: one `findall` of the token table
+`_TOKEN_PATTERN` gives each token with the blanks (space, tab, `\r`) after it,
+by maximal munch.  A token is an ASCII integer of at most 4,300 digits, a name
+(`str.isalnum` or `_`, starting with `str.isalpha` or `_`), `->` or one of
+`(){}[],;=+-*/^`, or a newline outside brackets, which the parser reads as the
+number of the line it starts; the end of input reads `None`.  A `#` comment to
+the end of the line is no token (the NEWLINE or EOF after it keeps its
+column), and anything else is a ParseError at its line and column.  The
+parser keeps each token's offset, and computes a line and column only for the
+error it reports.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import NamedTuple, Optional
 
 from .polymap import _BINARY, Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Var, expr_to_poly
@@ -191,19 +195,82 @@ class Scenario(Record):
 # CPython's default limit on int(str): a longer literal would raise ValueError
 _MAX_INT_DIGITS = 4300
 
-# No quantifier nests, and after the blanks every position matches one
-# alternative, tried in this order: no match backtracks, so a scan is linear.
+# One match is one token and the blanks after it; the blanks before the first
+# token are skipped by the scan's start.  No quantifier nests, every position
+# after the blanks matches one alternative, tried in this order, and no match
+# ends inside blanks, so nothing backtracks and a scan is linear.
 _TOKEN_PATTERN = (
-    r"(?s)[ \t\r]*(?:"
-    r"([0-9]+)"  # 1 INT: ASCII digits only, str.isdigit also takes "²" and "٣"
-    r"|(\w+)"  # 2 NAME: \w is str.isalnum or _, so only the first character is checked
-    r"|(->|[(){}\[\],;=+\-*/^])"  # 3 punctuation
-    r"|(\n)"  # 4 newline
-    r"|(#[^\n]*)"  # 5 comment
-    r"|(\Z)"  # 6 end of input
-    r"|(.))"  # 7 no token
+    r"(?s)(?:[0-9]+"  # INT: ASCII digits only, str.isdigit also takes "²" and "٣"
+    r"|\w+"  # NAME: \w is str.isalnum or _, so only the first character is checked
+    r"|->|[(){}\[\],;=+\-*/^]"  # punctuation
+    r"|\n"  # newline
+    r"|#[^\n]*"  # comment
+    r"|.)[ \t\r]*"  # no token
 )
-_INT, _NAME, _PUNCT, _NEWLINE, _COMMENT, _EOF = range(1, 7)
+
+# What a scan does on meeting a token's text: 0 keep it (names and integers join
+# once checked), 1 and 2 open and close a bracket, 3 end a line
+_KINDS = {**dict.fromkeys(("->", ",", ";", "=", "+", "-", "*", "/", "^"), 0),
+          **dict.fromkeys("([{", 1), **dict.fromkeys(")]}", 2), "\n": 3}
+
+
+def _where(text: str, offset: int) -> tuple:
+    """The 1-based (line, column) of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _scan(text: str):
+    """The tokens of ``text`` and the offset of each: a name, an integer or a
+    punctuation mark is its text, a newline outside brackets the number of the
+    line it starts, and the end of input ``None``."""
+    lead = len(text) - len(text.lstrip(" \t\r"))
+    # re's own cache keeps the compiled pattern: compiled on first use, not on import
+    raw = re.compile(_TOKEN_PATTERN).findall(text, lead)
+    toks, offs = [], []
+    tok, at = toks.append, offs.append
+    kinds = _KINDS.copy()
+    kind = kinds.get
+    line = 1
+    depth = 0  # brackets open; a newline inside them is no token
+    held = -1  # a comment's offset: the NEWLINE or EOF after it reports that
+    for s, off in zip(map(str.rstrip, raw, repeat(" \t\r")), accumulate(map(len, raw), initial=lead)):
+        k = kind(s)
+        if k is None:  # first sight of a name or an integer, a comment, or no token
+            c = s[0]
+            if c == "#":
+                held = off
+                continue
+            if "0" <= c <= "9":
+                if len(s) > _MAX_INT_DIGITS:
+                    raise ParseError(*_where(text, off),
+                                     f"an integer of at most {_MAX_INT_DIGITS} digits", f"{len(s)} digits")
+            elif not (c.isalpha() or c == "_"):  # INT took the ASCII digits: "²x" is no name
+                raise ParseError(*_where(text, off), "a token", repr(c))
+            kinds[s] = 0
+        elif k == 1:
+            depth += 1
+        elif k == 2 and depth:
+            depth -= 1
+        elif k == 3:
+            line += 1
+            if not depth:
+                tok(line)
+                at(held if held >= 0 else off)
+            held = -1
+            continue
+        tok(s)
+        at(off)
+    tok(None)
+    at(held if held >= 0 else len(text))
+    return toks, offs
+
+
+def _found(t) -> str:
+    return "end of line" if type(t) is int else "end of input" if t is None else t
+
+
+def _is_name(t) -> bool:
+    return type(t) is str and (t[0].isalpha() or t[0] == "_")
 
 
 class _Tok(NamedTuple):
@@ -213,49 +280,19 @@ class _Tok(NamedTuple):
     col: int
 
 
-def _lex(text: str):
-    toks = []
-    append = toks.append
+def _lex(text: str) -> list:
+    """The tokens of :func:`_scan` as (type, value, line, col); each line and
+    column counts on from the token before, so this is linear in the text."""
+    out, line, line_start, prev = [], 1, 0, 0
     new = tuple.__new__  # _Tok without its Python-level __new__
-    line, line_start = 1, 0  # columns count from the line's start
-    depth = 0  # brackets open; a newline inside them is no token
-    held = 0  # a comment's column: the NEWLINE or EOF after it reports that
-    # re's own cache keeps the compiled pattern: compiled on first use, not on import
-    for m in re.finditer(_TOKEN_PATTERN, text):
-        group = m.lastindex
-        value = m[group]
-        col = m.start(group) - line_start + 1
-        if group == _NAME:
-            # INT took the ASCII digits; a run that starts with "²" or "٣" is no name
-            if not (value[0].isalpha() or value[0] == "_"):
-                raise ParseError(line, col, "a token", repr(value[0]))
-            append(new(_Tok, ("NAME", value, line, col)))
-        elif group == _PUNCT:
-            if value in "([{":
-                depth += 1
-            elif depth and value in ")]}":
-                depth -= 1
-            append(new(_Tok, (value, value, line, col)))
-        elif group == _INT:
-            if len(value) > _MAX_INT_DIGITS:
-                raise ParseError(
-                    line, col, f"an integer of at most {_MAX_INT_DIGITS} digits", f"{len(value)} digits"
-                )
-            append(new(_Tok, ("INT", value, line, col)))
-        elif group == _NEWLINE:
-            if not depth:
-                append(new(_Tok, ("NEWLINE", "\\n", line, held or col)))
-            line += 1
-            line_start = m.end()
-            held = 0
-        elif group == _COMMENT:
-            held = col
-        elif group == _EOF:
-            break
-        else:
-            raise ParseError(line, col, "a token", repr(value))
-    append(new(_Tok, ("EOF", "end of input", line, held or col)))
-    return toks
+    for t, off in zip(*_scan(text)):
+        line += text.count("\n", prev, off)
+        line_start = max(line_start, text.rfind("\n", prev, off) + 1)
+        prev = off
+        kind = ("NEWLINE" if type(t) is int else "EOF" if t is None else
+                "INT" if t.isdigit() else "NAME" if _is_name(t) else t)
+        out.append(new(_Tok, (kind, "\\n" if type(t) is int else _found(t), line, off - line_start + 1)))
+    return out
 
 
 # -- parser ------------------------------------------------------------------------
@@ -276,8 +313,11 @@ class _Sym:
 _MAX_DIMENSION = 10_000
 
 # The most terms a map component, relation or GAMMA entry may expand to, by
-# :func:`_expanded_terms`: (x+1)^999 takes about half a second (README)
+# :func:`_expanded_terms`, and the most all those of one file may expand to
+# together: (x+1)^999 builds in about 0.3 s, so a file at its budget in about
+# 0.6 s (README)
 _MAX_TERMS = 1_000
+_MAX_FILE_TERMS = 2_000
 
 
 def _expanded_terms(node) -> int:
@@ -331,68 +371,75 @@ def _expanded_terms(node) -> int:
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _lex(text)
+        self.text = text
+        self.toks, self.offs = _scan(text)
         self.pos = 0
-        self.tok = self.toks[0]  # toks[pos]; ``advance`` never moves past EOF
+        self.tok = self.toks[0]  # toks[pos]
+        self.line = 1  # where the statement being read starts
         self.symbols: dict = {}
         self.scope: Optional[_Scope] = None  # set while a scalar body is read
         self.calls = False  # map calls: only in ``eval --expr`` strings
         self.dimension = 1  # of the algebra of the blocks declared so far
+        self.terms = 0  # of the bodies read so far, by _expanded_terms
 
-    # token plumbing
+    # token plumbing: a token is kept for a later error as its index ``pos``
 
-    def advance(self) -> _Tok:
+    def advance(self):
+        """Move past the current token and return it.  Every caller has checked
+        it first, so it is never EOF, the last."""
         t = self.tok
-        if t.type != "EOF":
-            self.pos += 1
-            self.tok = self.toks[self.pos]
+        self.pos += 1
+        self.tok = self.toks[self.pos]
         return t
 
-    def fail(self, expected: str, tok: Optional[_Tok] = None):
-        tok = tok or self.tok
-        found = tok.value if tok.type != "NEWLINE" else "end of line"
-        raise ParseError(tok.line, tok.col, expected, found)
+    def fail(self, expected: str, at: Optional[int] = None):
+        at = self.pos if at is None else at
+        raise ParseError(*_where(self.text, self.offs[at]), expected, _found(self.toks[at]))
 
-    def expect(self, type_: str, expected: Optional[str] = None) -> _Tok:
-        if self.tok.type != type_:
-            self.fail(expected or f"'{type_}'")
-        return self.advance()
+    def expect(self, text: str):
+        """Read the punctuation mark or keyword ``text``."""
+        if self.tok != text:
+            self.fail(f"'{text}'")
+        self.advance()
 
-    def expect_word(self, word: str) -> _Tok:
-        t = self.tok
-        if t.type != "NAME" or t.value != word:
-            self.fail(f"'{word}'")
-        return self.advance()
+    def name(self, what: str) -> int:
+        """The index of a name token, read."""
+        if not _is_name(self.tok):
+            self.fail(what)
+        self.advance()
+        return self.pos - 1
 
     def expect_int(self, what: str = "an integer") -> int:
-        return int(self.expect("INT", what).value)
+        t = self.tok
+        if type(t) is not str or not t.isdigit():
+            self.fail(what)
+        return int(self.advance())
 
     def skip_newlines(self):
-        while self.tok.type == "NEWLINE":
-            self.advance()
+        while type(self.tok) is int:
+            self.line = self.advance()
 
     def end_statement(self):
-        t = self.tok
-        if t.type not in ("NEWLINE", "EOF"):
+        if self.tok is not None and type(self.tok) is not int:
             self.fail("end of statement")
 
     # symbols
 
-    def declare(self, tok: _Tok, sym: _Sym) -> str:
-        name = tok.value
+    def declare(self, at: int, sym: _Sym) -> str:
+        name = self.toks[at]
         if name in _RESERVED:
-            self.fail("a fresh name (keyword is reserved)", tok)
+            self.fail("a fresh name (keyword is reserved)", at)
         if name in self.symbols:
-            self.fail("a fresh name (already declared)", tok)
+            self.fail("a fresh name (already declared)", at)
         self.symbols[name] = sym
         return name
 
-    def lookup(self, tok: _Tok, kinds) -> _Sym:
-        sym = self.symbols.get(tok.value)
+    def lookup(self, at: int, kinds) -> _Sym:
+        sym = self.symbols.get(self.toks[at])
         if sym is None:
-            self.fail(f"a declared name ({' or '.join(kinds)})", tok)
+            self.fail(f"a declared name ({' or '.join(kinds)})", at)
         if sym.kind not in kinds:
-            self.fail(f"a name of kind {' or '.join(kinds)}", tok)
+            self.fail(f"a name of kind {' or '.join(kinds)}", at)
         return sym
 
     # scenario
@@ -401,14 +448,14 @@ class _Parser:
         stmts = []
         version = None
         self.skip_newlines()
-        if self.tok.type == "NAME" and self.tok.value == "version":
+        if self.tok == "version":
             self.advance()
             version = self.expect_int("a version number")
             if version != 1:
-                self.fail("version 1", self.toks[self.pos - 1])
+                self.fail("version 1", self.pos - 1)
             self.end_statement()
             self.skip_newlines()
-        while self.tok.type != "EOF":
+        while self.tok is not None:
             stmts.append(self.guarded(self.statement))
             self.end_statement()
             self.skip_newlines()
@@ -417,30 +464,28 @@ class _Parser:
     def guarded(self, parse):
         """``parse()``, with input nested too deeply for the interpreter's
         stack reported at the first token it read."""
-        first = self.tok
+        first = self.pos
         try:
             return parse()
         except RecursionError:
             self.fail("input nested less deeply", first)
 
     def statement(self):
-        t = self.tok
-        if t.type != "NAME":
-            self.fail("a statement keyword")
-        handler = _Parser.STATEMENTS.get(t.value)
+        handler = _Parser.STATEMENTS.get(self.tok)
         if handler is None:
-            self.fail("a statement keyword (block/quotient/point/map/form/connection/retract/check)")
+            self.fail("a statement keyword (block/quotient/point/map/form/connection/retract/check)"
+                      if _is_name(self.tok) else "a statement keyword")
+        self.advance()
         return handler(self)
 
-    # declarations
+    # declarations: each reads on from its keyword, and ``line`` is the keyword's
 
     def stmt_block(self):
-        line = self.advance().line
-        name_tok = self.expect("NAME", "a block name")
-        self.expect_word("vars")
+        at = self.name("a block name")
+        self.expect("vars")
         nvars = self.positive_int("vars >= 1")
-        self.expect_word("cap")
-        cap_tok = self.tok
+        self.expect("cap")
+        cap_at = self.pos
         cap = self.positive_int("cap >= 1")
         # the block has C(vars + cap, cap) > max(vars, cap) basis monomials,
         # so a larger value is over the budget before math.comb runs
@@ -448,104 +493,99 @@ class _Parser:
                            else _MAX_DIMENSION + 1)
         if self.dimension > _MAX_DIMENSION:
             self.fail(f"a cap within the dimension budget ({_MAX_DIMENSION:,} basis monomials"
-                      " over all blocks)", cap_tok)
-        self.declare(name_tok, _Sym("block", nvars))
-        return BlockDecl(name_tok.value, nvars, cap, line)
+                      " over all blocks)", cap_at)
+        return BlockDecl(self.declare(at, _Sym("block", nvars)), nvars, cap, self.line)
 
     def stmt_quotient(self):
-        line = self.advance().line
-        name_tok = self.expect("NAME", "a quotient name")
-        self.expect_word("vars")
+        at = self.name("a quotient name")
+        self.expect("vars")
         nvars = self.positive_int("vars >= 1")
-        self.expect_word("degcap")
+        self.expect("degcap")
         degcap = self.positive_int("degcap >= 1")
         # declared before its relations so q[1]*q[2] can reference q itself
-        self.declare(name_tok, _Sym("quotient", nvars))
-        self.expect_word("relations")
+        name = self.declare(at, _Sym("quotient", nvars))
+        self.expect("relations")
         self.expect("{")
-        rels = [self.polynomial({}, nvars, family=name_tok.value)]
-        while self.tok.type == ",":
+        rels = [self.polynomial({}, nvars, family=name)]
+        while self.tok == ",":
             self.advance()
-            rels.append(self.polynomial({}, nvars, family=name_tok.value))
+            rels.append(self.polynomial({}, nvars, family=name))
         self.expect("}")
-        return QuotientDecl(name_tok.value, nvars, degcap, tuple(rels), line)
+        return QuotientDecl(name, nvars, degcap, tuple(rels), self.line)
 
     def stmt_point(self):
-        line = self.advance().line
-        name_tok = self.expect("NAME", "a point name")
+        at = self.name("a point name")
         self.expect("=")
-        start = self.tok
+        start = self.pos
         expr = self.expr()
         dim = self.infer_vector(expr, start)
-        self.declare(name_tok, _Sym("point", dim))
-        return PointDecl(name_tok.value, expr, dim, line)
+        return PointDecl(self.declare(at, _Sym("point", dim)), expr, dim, self.line)
 
     def stmt_map(self):
-        line = self.advance().line
-        name_tok = self.expect("NAME", "a map name")
+        at = self.name("a map name")
         self.expect("(")
-        params = [self.expect("NAME", "a parameter name").value]
-        while self.tok.type == ",":
+        params = [self.toks[self.name("a parameter name")]]
+        while self.tok == ",":
             self.advance()
-            params.append(self.expect("NAME", "a parameter name").value)
+            params.append(self.toks[self.name("a parameter name")])
         self.expect(")")
         if len(set(params)) != len(params):
-            self.fail("distinct parameter names", name_tok)
+            self.fail("distinct parameter names", at)
         self.expect("->")
         out_dim = self.positive_int("output dimension >= 1", "the output dimension")
         self.expect("{")
         names = {p: i for i, p in enumerate(params)}
         bodies = [self.scalar_body(names, body=True)]
-        while self.tok.type == ",":
+        while self.tok == ",":
             self.advance()
             bodies.append(self.scalar_body(names, body=True))
-        close = self.tok
+        close = self.pos
         self.expect("}")
         if len(bodies) != out_dim:
             self.fail(f"{out_dim} component expression(s)", close)
-        self.declare(name_tok, _Sym("map", len(params), out_dim))
-        return MapDecl(name_tok.value, tuple(params), out_dim, tuple(bodies), line)
+        name = self.declare(at, _Sym("map", len(params), out_dim))
+        return MapDecl(name, tuple(params), out_dim, tuple(bodies), self.line)
 
     def stmt_form(self):
-        line = self.advance().line
-        name_tok = self.expect("NAME", "a form name")
-        self.expect_word("arity")
+        at = self.name("a form name")
+        self.expect("arity")
         arity = self.positive_int("arity >= 1")
-        self.expect_word("dim")
+        self.expect("dim")
         dim = self.positive_int("dim >= 1")
         self.expect("{")
         entries = {}
-        while self.tok.type == "[":
-            open_tok = self.advance()
+        while self.tok == "[":
+            open_at = self.pos
+            self.advance()
             idx = [self.expect_int("a coordinate index")]
-            while self.tok.type == ",":
+            while self.tok == ",":
                 self.advance()
                 idx.append(self.expect_int("a coordinate index"))
             self.expect("]")
             if len(idx) != arity:
-                self.fail(f"{arity} indices", open_tok)
+                self.fail(f"{arity} indices", open_at)
             if any(not 1 <= i <= dim for i in idx):
-                self.fail(f"indices in 1..{dim}", open_tok)
+                self.fail(f"indices in 1..{dim}", open_at)
             key = tuple(i - 1 for i in idx)
             if key in entries:
-                self.fail("a fresh index tuple (duplicate entry)", open_tok)
+                self.fail("a fresh index tuple (duplicate entry)", open_at)
             self.expect("=")
             entries[key] = self.rational()
         self.expect("}")
-        self.declare(name_tok, _Sym("form", arity, dim))
+        name = self.declare(at, _Sym("form", arity, dim))
         entries = tuple(sorted((k, v) for k, v in entries.items() if v))
-        return FormDecl(name_tok.value, arity, dim, entries, line)
+        return FormDecl(name, arity, dim, entries, self.line)
 
     def stmt_connection(self):
-        line = self.advance().line
-        name_tok = self.expect("NAME", "a connection name")
-        self.expect_word("dim")
+        at = self.name("a connection name")
+        self.expect("dim")
         dim = self.positive_int("dim >= 1")
         names = {f"x{j}": j - 1 for j in range(1, dim + 1)}
         self.expect("{")
         entries = {}
-        while self.tok.type == "NAME" and self.tok.value == "GAMMA":
-            gtok = self.advance()
+        while self.tok == "GAMMA":
+            gamma_at = self.pos
+            self.advance()
             self.expect("[")
             i = self.expect_int("a component index")
             self.expect("]")
@@ -555,144 +595,142 @@ class _Parser:
             b = self.expect_int("a coordinate index")
             self.expect("]")
             if not (1 <= i <= dim and 1 <= a <= dim and 1 <= b <= dim):
-                self.fail(f"indices in 1..{dim}", gtok)
+                self.fail(f"indices in 1..{dim}", gamma_at)
             key = (i - 1, min(a, b) - 1, max(a, b) - 1)
             if key in entries:
-                self.fail("a fresh GAMMA entry (duplicate after symmetrization)", gtok)
+                self.fail("a fresh GAMMA entry (duplicate after symmetrization)", gamma_at)
             self.expect("=")
             entries[key] = self.polynomial(names, dim, homogeneous=False)
         self.expect("}")
-        self.declare(name_tok, _Sym("connection", dim))
-        return ConnectionDecl(name_tok.value, dim, tuple(sorted(entries.items())), line)
+        name = self.declare(at, _Sym("connection", dim))
+        return ConnectionDecl(name, dim, tuple(sorted(entries.items())), self.line)
 
     def stmt_retract(self):
-        line = self.advance().line
-        name_tok = self.expect("NAME", "a retract name")
-        self.expect_word("iota")
+        at = self.name("a retract name")
+        self.expect("iota")
         self.expect("=")
-        iota_tok = self.expect("NAME", "a map name")
-        iota = self.lookup(iota_tok, ("map",))
-        self.expect_word("r")
+        iota_at = self.name("a map name")
+        iota = self.lookup(iota_at, ("map",))
+        self.expect("r")
         self.expect("=")
-        r_tok = self.expect("NAME", "a map name")
-        r = self.lookup(r_tok, ("map",))
+        r_at = self.name("a map name")
+        r = self.lookup(r_at, ("map",))
         if iota.a != r.b or iota.b != r.a:
-            self.fail("maps with matching chart/ambient dimensions", r_tok)
-        self.declare(name_tok, _Sym("retract", iota.a, iota.b))
-        return RetractDecl(name_tok.value, iota_tok.value, r_tok.value, line)
+            self.fail("maps with matching chart/ambient dimensions", r_at)
+        name = self.declare(at, _Sym("retract", iota.a, iota.b))
+        return RetractDecl(name, self.toks[iota_at], self.toks[r_at], self.line)
 
     # checks
 
     def stmt_check(self):
-        line = self.advance().line
-        kind_tok = self.tok
+        kind_at = self.pos
         kind = self.check_kind()
-        return _Parser.CHECKS[kind](self, kind, kind_tok, line)
+        return _Parser.CHECKS[kind](self, kind, kind_at)
 
     def check_kind(self) -> str:
-        parts = [self.expect("NAME", "a check kind").value]
-        while self.tok.type == "-":
+        parts = [self.toks[self.name("a check kind")]]
+        while self.tok == "-":
             self.advance()
-            parts.append(self.expect("NAME", "rest of the check kind").value)
+            parts.append(self.toks[self.name("rest of the check kind")])
         kind = "-".join(parts)
         if kind not in CHECK_KINDS:
-            self.fail("a check kind (%s)" % ", ".join(CHECK_KINDS), self.toks[self.pos - 1])
+            self.fail("a check kind (%s)" % ", ".join(CHECK_KINDS), self.pos - 1)
         return kind
 
-    def check_membership(self, kind, kind_tok, line):
+    def check_membership(self, kind, kind_at):
         vectors, dim = self.vector_list()
         k = None
         if kind != "nilsquare":
             k = self.k_param()
         if kind in ("i-tuple", "nilsquare") and len(vectors) < 2:
-            self.fail("at least two points", kind_tok)
+            self.fail("at least two points", kind_at)
         if kind == "in-Dk" and len(vectors) != 1:
-            self.fail("exactly one vector", kind_tok)
+            self.fail("exactly one vector", kind_at)
         if kind == "in-DNk" and len(vectors) != k + 1:
-            self.fail(f"k+1 = {k + 1} vectors", kind_tok)
-        return CheckDecl(kind, vectors=vectors, k=k, line=line)
+            self.fail(f"k+1 = {k + 1} vectors", kind_at)
+        return CheckDecl(kind, vectors=vectors, k=k, line=self.line)
 
-    def check_imorphism(self, kind, kind_tok, line):
-        map_tok = self.expect("NAME", "a map name")
-        sym = self.lookup(map_tok, ("map",))
+    def check_imorphism(self, kind, kind_at):
+        map_at = self.name("a map name")
+        sym = self.lookup(map_at, ("map",))
         vectors, dim = self.vector_list()
         if len(vectors) < 2:
-            self.fail("at least two points", kind_tok)
+            self.fail("at least two points", kind_at)
         if dim != sym.a:
-            self.fail(f"points of dimension {sym.a}", map_tok)
+            self.fail(f"points of dimension {sym.a}", map_at)
         k = self.k_param()
-        return CheckDecl(kind, vectors=vectors, k=k, target=map_tok.value, line=line)
+        return CheckDecl(kind, vectors=vectors, k=k, target=self.toks[map_at], line=self.line)
 
-    def check_axioms(self, kind, kind_tok, line):
-        mode_tok = self.expect("NAME", "canonical, connection=NAME, or retract=NAME")
-        mode = mode_tok.value
+    def check_axioms(self, kind, kind_at):
+        mode_at = self.name("canonical, connection=NAME, or retract=NAME")
+        mode = self.toks[mode_at]
         k = None
         target = None
         if mode == "canonical":
             k = self.k_param()
         elif mode in ("connection", "retract"):
             self.expect("=")
-            target_tok = self.expect("NAME", f"a {mode} name")
-            self.lookup(target_tok, (mode,))
-            target = target_tok.value
+            target_at = self.name(f"a {mode} name")
+            self.lookup(target_at, (mode,))
+            target = self.toks[target_at]
         else:
-            self.fail("canonical, connection=NAME, or retract=NAME", mode_tok)
-        self.expect_word("points")
+            self.fail("canonical, connection=NAME, or retract=NAME", mode_at)
+        self.expect("points")
         points, dim = self.vector_list()
-        self.expect_word("weights")
+        self.expect("weights")
         weights = self.weight_rows(len(points))
         outer = ()
-        if self.tok.type == "NAME" and self.tok.value == "outer":
+        if self.tok == "outer":
             self.advance()
             outer = self.weight_row(len(weights))
         return CheckDecl(
             kind, vectors=points, k=k, target=target, weights=weights,
-            outer=outer, mode=mode, line=line,
+            outer=outer, mode=mode, line=self.line,
         )
 
-    def check_equiv(self, kind, kind_tok, line):
-        conn_tok = self.expect("NAME", "a connection name")
-        self.lookup(conn_tok, ("connection",))
-        self.expect_word("points")
+    def check_equiv(self, kind, kind_at):
+        conn_at = self.name("a connection name")
+        self.lookup(conn_at, ("connection",))
+        self.expect("points")
         points, dim = self.vector_list()
         if len(points) != 3:
-            self.fail("exactly three points (P; Q; S)", kind_tok)
-        return CheckDecl(kind, vectors=points, target=conn_tok.value, line=line)
+            self.fail("exactly three points (P; Q; S)", kind_at)
+        return CheckDecl(kind, vectors=points, target=self.toks[conn_at], line=self.line)
 
-    def check_pullback(self, kind, kind_tok, line):
-        self.expect_word("connection")
+    def check_pullback(self, kind, kind_at):
+        self.expect("connection")
         self.expect("=")
-        conn_tok = self.expect("NAME", "a connection name")
-        conn = self.lookup(conn_tok, ("connection",))
-        self.expect_word("iota")
+        conn_at = self.name("a connection name")
+        conn = self.lookup(conn_at, ("connection",))
+        self.expect("iota")
         self.expect("=")
-        iota_tok = self.expect("NAME", "a map name")
-        iota = self.lookup(iota_tok, ("map",))
+        iota_at = self.name("a map name")
+        iota = self.lookup(iota_at, ("map",))
         if iota.a != iota.b or iota.b != conn.a:
-            self.fail("a square map matching the connection dimension", iota_tok)
-        self.expect_word("points")
+            self.fail("a square map matching the connection dimension", iota_at)
+        self.expect("points")
         points, dim = self.vector_list()
         if dim != conn.a:
-            self.fail(f"points of dimension {conn.a}", conn_tok)
-        self.expect_word("weights")
+            self.fail(f"points of dimension {conn.a}", conn_at)
+        self.expect("weights")
         weights = self.weight_rows(len(points))
         return CheckDecl(
-            kind, vectors=points, target=conn_tok.value, iota=iota_tok.value,
-            weights=weights, line=line,
+            kind, vectors=points, target=self.toks[conn_at], iota=self.toks[iota_at],
+            weights=weights, line=self.line,
         )
 
-    def check_idempotent(self, kind, kind_tok, line):
-        name_tok = self.expect("NAME", "a map or retract name")
-        sym = self.lookup(name_tok, ("map", "retract"))
+    def check_idempotent(self, kind, kind_at):
+        name_at = self.name("a map or retract name")
+        sym = self.lookup(name_at, ("map", "retract"))
         if sym.kind == "map" and sym.a != sym.b:
-            self.fail("a square map (idempotents need in-dim == out-dim)", name_tok)
+            self.fail("a square map (idempotents need in-dim == out-dim)", name_at)
         ambient = sym.b
-        self.expect_word("at")
-        start = self.tok
+        self.expect("at")
+        start = self.pos
         at = self.expr()
         if self.infer_vector(at, start) != ambient:
             self.fail(f"a base point of dimension {ambient}", start)
-        return CheckDecl(kind, target=name_tok.value, at=at, line=line)
+        return CheckDecl(kind, target=self.toks[name_at], at=at, line=self.line)
 
     STATEMENTS = {
         "block": stmt_block,
@@ -719,27 +757,27 @@ class _Parser:
     # shared argument helpers
 
     def k_param(self) -> int:
-        self.expect_word("k")
+        self.expect("k")
         self.expect("=")
         return self.positive_int("an order k >= 1", "an order k >= 1")
 
     def positive_int(self, expected: str, what: str = "an integer") -> int:
         """An integer token; below 1 it fails at that token with ``expected``."""
-        tok = self.tok
+        at = self.pos
         value = self.expect_int(what)
         if value < 1:
-            self.fail(expected, tok)
+            self.fail(expected, at)
         return value
 
     def vector_list(self):
         """Parenthesized `;`-separated VECEXPRs; returns (tuple, common dim)."""
         self.expect("(")
-        start = self.tok
+        start = self.pos
         items = [self.expr()]
         dims = [self.infer_vector(items[0], start)]
-        while self.tok.type == ";":
+        while self.tok == ";":
             self.advance()
-            start = self.tok
+            start = self.pos
             items.append(self.expr())
             dims.append(self.infer_vector(items[-1], start))
         self.expect(")")
@@ -748,22 +786,23 @@ class _Parser:
         return tuple(items), dims[0]
 
     def weight_row(self, width: int):
-        open_tok = self.expect("(")
+        open_at = self.pos
+        self.expect("(")
         vals = [self.rational()]
-        while self.tok.type == ",":
+        while self.tok == ",":
             self.advance()
             vals.append(self.rational())
         self.expect(")")
         if len(vals) != width:
-            self.fail(f"{width} weights", open_tok)
+            self.fail(f"{width} weights", open_at)
         if sum(vals) != 1:
-            self.fail("weights summing to 1", open_tok)
+            self.fail("weights summing to 1", open_at)
         return tuple(vals)
 
     def weight_rows(self, width: int):
         self.expect("(")
         rows = [self.weight_row(width)]
-        while self.tok.type == ";":
+        while self.tok == ";":
             self.advance()
             rows.append(self.weight_row(width))
         self.expect(")")
@@ -771,16 +810,16 @@ class _Parser:
 
     def rational(self) -> Fraction:
         neg = False
-        if self.tok.type == "-":
+        if self.tok == "-":
             self.advance()
             neg = True
         num = self.expect_int("a rational number")
         den = 1
-        if self.tok.type == "/":
+        if self.tok == "/":
             self.advance()
             den = self.expect_int("a denominator")
             if den == 0:
-                self.fail("a nonzero denominator", self.toks[self.pos - 1])
+                self.fail("a nonzero denominator", self.pos - 1)
         return Fraction(-num if neg else num, den)
 
     # expressions
@@ -788,35 +827,38 @@ class _Parser:
     def scalar_body(self, names: dict, family=None, body=False) -> Expr:
         """One scalar body, its names resolved by the rules of
         :class:`_Scope`, within the term budget."""
-        start = self.tok
+        start = self.pos
         self.scope = _Scope(names, family, start, body)
         node = self.expr()
         self.scope = None
-        if _expanded_terms(node) > _MAX_TERMS:
+        terms = _expanded_terms(node)
+        if terms > _MAX_TERMS:
             self.fail(f"a body within the term budget ({_MAX_TERMS:,} terms when expanded)", start)
+        self.terms += terms
+        if self.terms > _MAX_FILE_TERMS:
+            self.fail(f"a body within the file's term budget ({_MAX_FILE_TERMS:,} terms when"
+                      " expanded, over all bodies)", start)
         return node
 
     def expr(self):
         node = self.mulexpr()
-        while self.tok.type in ("+", "-"):
-            op = self.advance().type
-            node = _binop(op, node, self.mulexpr())
+        while self.tok == "+" or self.tok == "-":
+            node = _binop(self.advance(), node, self.mulexpr())
         return node
 
     def mulexpr(self):
         node = self.unary()
-        while self.tok.type in ("*", "/"):
-            op = self.advance().type
-            node = _binop(op, node, self.unary())
+        while self.tok == "*" or self.tok == "/":
+            node = _binop(self.advance(), node, self.unary())
         return node
 
     def unary(self):
-        if self.tok.type == "-":
+        if self.tok == "-":
             self.advance()
             node = self.unary()
             return Const(-node.value) if type(node) is Const else Neg(node)
         node = self.atom()
-        if self.tok.type == "^":
+        if self.tok == "^":
             self.advance()
             node = Power(node, self.expect_int("a nonnegative integer exponent"))
         return node
@@ -824,17 +866,14 @@ class _Parser:
     def atom(self):
         t = self.tok
         scope = self.scope
-        if t.type == "INT":
-            self.advance()
-            return Const(int(t.value))
-        if t.type == "(":
+        if t == "(":
             self.advance()
             first = self.expr()
-            if self.tok.type == ",":
+            if self.tok == ",":
                 items = [first]
-                while self.tok.type == ",":
+                while self.tok == ",":
                     self.advance()
-                    if self.tok.type == ")":  # 1-tuple: "(x,)"
+                    if self.tok == ")":  # 1-tuple: "(x,)"
                         break
                     items.append(self.expr())
                 self.expect(")")
@@ -843,56 +882,60 @@ class _Parser:
                 return EVec(tuple(items))
             self.expect(")")
             return first
-        if t.type == "NAME":
+        if type(t) is not str or t in _KINDS:  # a newline, the end or another mark
+            self.fail("an expression")
+        self.advance()
+        if t.isdigit():
+            return Const(int(t))
+        at = self.pos - 1  # the name's
+        if self.tok == "(" and (self.calls or scope and scope.body):
+            return self.call(at)
+        if self.tok == "[":
             self.advance()
-            if self.tok.type == "(" and (self.calls or scope and scope.body):
-                return self.call(t)
-            if self.tok.type == "[":
-                self.advance()
-                itok = self.tok
-                index = self.expect_int("a generator index")
-                self.expect("]")
-                if scope and scope.body:
-                    self.fail("a parameter name (no generators inside map bodies)", t)
-                sym = self.lookup(t, ("block", "quotient"))
-                if not 1 <= index <= sym.a:
-                    self.fail(f"an index in 1..{sym.a}", itok)
-                if not scope:
-                    return ERef(t.value, index)
-                if t.value != scope.family:
-                    self.fail("this declaration's own generators", t)
-                return Var(index - 1)
+            index_at = self.pos
+            index = self.expect_int("a generator index")
+            self.expect("]")
+            if scope and scope.body:
+                self.fail("a parameter name (no generators inside map bodies)", at)
+            sym = self.lookup(at, ("block", "quotient"))
+            if not 1 <= index <= sym.a:
+                self.fail(f"an index in 1..{sym.a}", index_at)
             if not scope:
-                return ERef(t.value)
-            if t.value in scope.names:
-                return Var(scope.names[t.value])
-            if scope.body:
-                self.fail("a declared parameter name", t)
-            if scope.family is not None:
-                self.fail(f"an indexed generator like {scope.family}[1]", t)
-            self.fail("a polynomial in the declared variables", scope.start)
-        self.fail("an expression")
+                return ERef(t, index)
+            if t != scope.family:
+                self.fail("this declaration's own generators", at)
+            return Var(index - 1)
+        if not scope:
+            return ERef(t)
+        if t in scope.names:
+            return Var(scope.names[t])
+        if scope.body:
+            self.fail("a declared parameter name", at)
+        if scope.family is not None:
+            self.fail(f"an indexed generator like {scope.family}[1]", at)
+        self.fail("a polynomial in the declared variables", scope.start)
 
-    def call(self, t: _Tok):
+    def call(self, at: int):
         """``sqrt(x)``, or (``eval --expr`` only) a call of a declared map."""
-        if not self.calls and t.value != "sqrt":
-            self.fail("sqrt (the only call allowed here)", t)
+        name = self.toks[at]
+        if not self.calls and name != "sqrt":
+            self.fail("sqrt (the only call allowed here)", at)
         self.advance()
         args = [self.expr()]
-        while self.tok.type == ",":
+        while self.tok == ",":
             self.advance()
             args.append(self.expr())
         self.expect(")")
-        if t.value == "sqrt":
+        if name == "sqrt":
             if len(args) != 1:
-                self.fail("one argument to sqrt", t)
+                self.fail("one argument to sqrt", at)
             return Sqrt(args[0])
-        self.lookup(t, ("map",))
-        return ECall(t.value, tuple(args))
+        self.lookup(at, ("map",))
+        return ECall(name, tuple(args))
 
     # expression typing: returns dimension for vectors, 0 for scalars
 
-    def typeof(self, node, tok) -> int:
+    def typeof(self, node, at: int) -> int:
         if isinstance(node, Const):
             return 0
         if isinstance(node, ERef):
@@ -900,45 +943,45 @@ class _Parser:
                 return 0
             sym = self.symbols.get(node.name)
             if sym is None:
-                self.fail("a declared point name", tok)
+                self.fail("a declared point name", at)
             if sym.kind != "point":
-                self.fail("a point name", tok)
+                self.fail("a point name", at)
             return sym.a
         if isinstance(node, EVec):
             for item in node.items:
-                if self.typeof(item, tok) != 0:
-                    self.fail("scalar tuple components", tok)
+                if self.typeof(item, at) != 0:
+                    self.fail("scalar tuple components", at)
             return len(node.items)
         if isinstance(node, Neg):
-            return self.typeof(node.operand, tok)
+            return self.typeof(node.operand, at)
         if isinstance(node, Power):
-            if self.typeof(node.base, tok) != 0:
-                self.fail("a scalar base for ^", tok)
+            if self.typeof(node.base, at) != 0:
+                self.fail("a scalar base for ^", at)
             return 0
-        lt = self.typeof(node.left, tok)
-        rt = self.typeof(node.right, tok)
+        lt = self.typeof(node.left, at)
+        rt = self.typeof(node.right, at)
         if isinstance(node, (Add, Sub)):
             if lt != rt:
-                self.fail("operands of equal dimension", tok)
+                self.fail("operands of equal dimension", at)
             return lt
         if isinstance(node, Mul):
             if lt and rt:
-                self.fail("at most one vector factor", tok)
+                self.fail("at most one vector factor", at)
             return lt or rt
         if rt != 0:
-            self.fail("a scalar divisor", tok)
+            self.fail("a scalar divisor", at)
         return lt
 
-    def infer_vector(self, node, tok) -> int:
-        dim = self.typeof(node, tok)
+    def infer_vector(self, node, at: int) -> int:
+        dim = self.typeof(node, at)
         if dim == 0:
-            self.fail("a vector-valued expression", tok)
+            self.fail("a vector-valued expression", at)
         return dim
 
     def polynomial(self, names: dict, nvars: int, homogeneous: bool = True, family=None) -> Poly:
         """Fold an expression into a polynomial over ``nvars`` variables: the
         bare names of ``names``, or the indexed generators ``family[i]``."""
-        start = self.tok
+        start = self.pos
         poly = expr_to_poly(self.scalar_body(names, family), nvars)
         if poly is None:
             self.fail("division by a nonzero constant", start)
@@ -961,7 +1004,7 @@ class _Scope(NamedTuple):
 
     names: dict
     family: Optional[str]
-    start: _Tok
+    start: int  # an index into the parser's tokens
     body: bool
 
 
@@ -990,10 +1033,10 @@ def parse_expression(text: str) -> object:
     """Parse a standalone expression (the CLI eval surface: calls allowed)."""
     p = _Parser(text.replace("\n", " "))
     # no symbol table: name resolution happens at evaluation time
-    p.lookup = lambda tok, kinds: _Sym("block", 10 ** 9, 10 ** 9)  # type: ignore[assignment]
+    p.lookup = lambda at, kinds: _Sym("block", 10 ** 9, 10 ** 9)  # type: ignore[assignment]
     p.calls = True
     node = p.guarded(p.expr)
-    if p.tok.type != "EOF":
+    if p.tok is not None:
         p.fail("end of expression")
     return node
 

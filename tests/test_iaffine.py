@@ -9,6 +9,7 @@ deliberately broken actions.
 
 import collections
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -1020,3 +1021,36 @@ def test_tangential_kill_builds_each_coordinate_product_once(monkeypatch):
     rep = check_idempotent_identities(rp, (1, 2, 2))
     assert_all_pass(rep)
     assert per_entry["idempotent/tangential-kill"] == 3
+
+
+def test_idempotent_identities_evaluate_e_at_p_plus_d_once(monkeypatch):
+    # the shipped plane retract: the 2-jet at P, then e(P + d) and e(P) for
+    # the tangential kill and e(e(P + d)) for the jet check, two maps each;
+    # evaluating e(P + d) for both checks made ten
+    from weilaff.dsl import parse_scenario
+    from weilaff.runner import build_env
+
+    text = (pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "retract.weil").read_text()
+    rp = build_env(parse_scenario(text)).retracts["plane"]
+    calls = []
+    monkeypatch.setattr(iaffine, "eval_map", lambda f, P: calls.append(f) or eval_map(f, P))
+    assert_all_pass(check_idempotent_identities(rp, (1, 2, 0)))
+    assert len(calls) == 8
+
+
+def test_idempotent_identities_report_a_fault_in_each_entry_that_reads_e_at_p_plus_d(monkeypatch):
+    rp = RetractPair.from_idempotent(PolyMap.identity(2))
+    calls = []
+
+    def fails_after_the_jet(self, X):
+        calls.append(X)
+        if len(calls) > 1:
+            raise WeilError("e is not defined here")
+        return X
+
+    monkeypatch.setattr(RetractPair, "idempotent_eval", fails_after_the_jet)
+    rep = check_idempotent_identities(rp, (1, 2))
+    by_name = {entry.name.split("/")[-1]: entry for entry in rep.entries}
+    for name in ("tangential-kill", "jet-idempotent"):
+        assert by_name[name].status == "error"
+        assert by_name[name].witness == {"message": "e is not defined here"}
