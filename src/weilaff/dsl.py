@@ -46,7 +46,9 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import NamedTuple, Optional
 
-from .polymap import _BINARY, Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Var, expr_to_poly
+from .polymap import (
+    _BINARY, Add, Const, Div, Expr, Mul, Neg, Poly, Power, Sqrt, Sub, Var, _ratio, expr_to_poly,
+)
 from .weil import Record, _set_field
 
 __all__ = [
@@ -313,35 +315,63 @@ class _Sym:
 _MAX_DIMENSION = 10_000
 
 # The most terms a map component, relation or GAMMA entry may expand to, by
-# :func:`_expanded_terms`, and the most all those of one file may expand to
+# :func:`_expansion_bounds`, and the most all those of one file may expand to
 # together: (x+1)^999 builds in about 0.3 s, so a file at its budget in about
 # 0.6 s (README)
 _MAX_TERMS = 1_000
 _MAX_FILE_TERMS = 2_000
 
+# The most bits (B with |n| <= 2^B) a numerator or a denominator may take in a
+# body's expansion, in a constant power or in a folded product of literals:
+# room for 2^20000, and a 1,000-term body at the budget builds in about 7 s
+# (README)
+_MAX_BITS = 20_000
 
-def _expanded_terms(node) -> int:
-    """A bound on the terms of the polynomial ``node`` and of each
-    subexpression expanded on the way, saturated past ``_MAX_TERMS``: a
-    degree-D one in v variables has at most C(v + D, v) terms (the variables
-    it uses are tracked as a bitmask), a sum at most its operands' together,
-    a product their product, and a t-term base to the power e at most
-    C(t + e - 1, e), so a power of one monomial stays one term.  A quotient
-    or a root counts as its first operand."""
-    over = _MAX_TERMS + 1
+
+def _bits(n: int) -> int:
+    """The least B with |n| <= 2^B."""
+    return (abs(n) - 1).bit_length() if n else 0
+
+
+def _expansion_bounds(node) -> tuple:
+    """``(terms, bits)``: bounds on the terms and on the bits of every
+    numerator and denominator of the polynomial ``node`` and of each
+    subexpression expanded on the way, saturated past ``_MAX_TERMS`` and
+    ``_MAX_BITS``.
+
+    Terms: a degree-D one in v variables has at most C(v + D, v) terms (the
+    variables it uses are tracked as a bitmask), a sum at most its operands'
+    together, a product their product, and a t-term base to the power e at
+    most C(t + e - 1, e), so a power of one monomial stays one term.  A
+    quotient or a root counts as its first operand.
+
+    Bits bound the sum of the numerators' absolute values, N bits, over a
+    common denominator of D bits, so they bound every numerator and
+    denominator: a literal p/q has the bits of p and of q; a sum has N the
+    larger of N1 + D2 and N2 + D1, plus one, over D1 + D2, so an integer sum
+    is its larger operand plus one bit; a product N1 + N2 over D1 + D2; a
+    power e, e·N over e·D; and a quotient by a constant N1 + D2 over
+    D1 + N2."""
+    over, over_bits = _MAX_TERMS + 1, _MAX_BITS + 1
 
     def comb(top, k):  # C(top, k) for 0 < k < top, saturated; it exceeds k and top - k
         return over if max(k, top - k) >= over else min(math.comb(top, k), over)
 
     # operands are walked before the node, which the stack holds as (node,)
-    # meanwhile; ``done`` holds (degree, terms, variables) of finished
-    # operands, the rightmost last, each saturated at ``over``
-    worst, done, todo = 1, [], [node]
+    # meanwhile; ``done`` holds (degree, terms, variables, numerator bits,
+    # denominator bits) of finished operands, the rightmost last, saturated
+    # where they multiply.  Only a power can shrink the bits, so the largest
+    # are the whole body's or a base's
+    worst, worst_bits, done, todo = 1, 0, [], [node]
     while todo:
         n = todo.pop()
         kind = type(n)
-        if kind is Const or kind is Var:
-            done.append((1, 1, 1 << n.index) if kind is Var else (0, 1, 0))
+        if kind is Var:
+            done.append((1, 1, 1 << n.index, 0, 0))
+        elif kind is Const:
+            v = n.value
+            done.append((0, 1, 0, _bits(v), 0) if type(v) is int else
+                        (0, 1, 0, _bits(v.numerator), _bits(v.denominator)))
         elif kind is not tuple:
             todo.append((n,))
             todo.extend((n.right, n.left) if kind in _BINARY else
@@ -349,24 +379,43 @@ def _expanded_terms(node) -> int:
         else:
             n = n[0]
             kind = type(n)
-            db, tb, vb = done.pop() if kind in _BINARY else (0, 1, 0)
-            deg, terms, used = done.pop()
+            db, tb, vb, nb, qb = done.pop() if kind in _BINARY else (0, 1, 0, 0, 0)
+            deg, terms, used, num, den = done.pop()
             used |= vb
             if kind is Add or kind is Sub:
-                deg, terms = max(deg, db), terms + tb
+                deg, terms, num, den = max(deg, db), terms + tb, max(num + qb, nb + den) + 1, den + qb
             elif kind is Mul:
-                deg, terms = deg + db, terms * tb
+                deg, terms, num, den = deg + db, terms * tb, num + nb, den + qb
+            elif kind is Div:
+                num, den = num + qb, den + nb
             elif kind is Power:
                 e = n.exponent
+                if num or den:
+                    worst_bits = max(worst_bits, num, den)
+                    num, den = min(e * num, over_bits), min(e * den, over_bits)
                 deg, terms = deg * e, 1 if terms == 1 or not e else comb(terms + e - 1, e)
             deg = min(deg, over)
             if not deg:
                 terms = 1
             elif terms > max(deg, v := used.bit_count()) + 1:  # the dense count exceeds both
                 terms = min(terms, comb(v + deg, v))
-            done.append((deg, terms, used))
+            done.append((deg, terms, used, num, den))
             worst = max(worst, terms)
-    return worst
+    *_, num, den = done.pop()
+    return worst, max(worst_bits, num, den)
+
+
+def _constant_bits(node) -> int:
+    """The bits of a literal, or of one raised to powers (``(2^3)^4``,
+    ``(-2)^7``), saturated past ``_MAX_BITS``; 0 for any other node."""
+    e = 1
+    while type(node) is Power:
+        e = min(e * node.exponent, _MAX_BITS + 1)
+        node = node.base
+    if type(node) is not Const:
+        return 0
+    p, q = _ratio(node.value)
+    return e * max(_bits(p), _bits(q))
 
 
 class _Parser:
@@ -380,7 +429,7 @@ class _Parser:
         self.scope: Optional[_Scope] = None  # set while a scalar body is read
         self.calls = False  # map calls: only in ``eval --expr`` strings
         self.dimension = 1  # of the algebra of the blocks declared so far
-        self.terms = 0  # of the bodies read so far, by _expanded_terms
+        self.terms = 0  # of the bodies read so far, by _expansion_bounds
 
     # token plumbing: a token is kept for a later error as its index ``pos``
 
@@ -831,9 +880,12 @@ class _Parser:
         self.scope = _Scope(names, family, start, body)
         node = self.expr()
         self.scope = None
-        terms = _expanded_terms(node)
+        terms, bits = _expansion_bounds(node)
         if terms > _MAX_TERMS:
             self.fail(f"a body within the term budget ({_MAX_TERMS:,} terms when expanded)", start)
+        if bits > _MAX_BITS:
+            self.fail(f"a body within the coefficient budget ({_MAX_BITS:,} bits when expanded)",
+                      start)
         self.terms += terms
         if self.terms > _MAX_FILE_TERMS:
             self.fail(f"a body within the file's term budget ({_MAX_FILE_TERMS:,} terms when"
@@ -847,9 +899,14 @@ class _Parser:
         return node
 
     def mulexpr(self):
+        start = self.pos
         node = self.unary()
         while self.tok == "*" or self.tok == "/":
             node = _binop(self.advance(), node, self.unary())
+            if type(node) is Const:  # folded: its bits grow with every literal
+                p, q = node.value.as_integer_ratio()  # bit_length() bounds _bits
+                if max(p.bit_length(), q.bit_length()) > _MAX_BITS:
+                    self.within_bits(_constant_bits(node), start)
         return node
 
     def unary(self):
@@ -857,11 +914,20 @@ class _Parser:
             self.advance()
             node = self.unary()
             return Const(-node.value) if type(node) is Const else Neg(node)
+        start = self.pos
         node = self.atom()
         if self.tok == "^":
             self.advance()
             node = Power(node, self.expect_int("a nonnegative integer exponent"))
+            if type(node.base) is not Var:  # x^e holds no constant
+                self.within_bits(_constant_bits(node), start)
         return node
+
+    def within_bits(self, bits: int, start: int):
+        """Fail at ``start`` if the constant read from there takes more bits
+        than the coefficient budget."""
+        if bits > _MAX_BITS:
+            self.fail(f"a constant within the coefficient budget ({_MAX_BITS:,} bits)", start)
 
     def atom(self):
         t = self.tok

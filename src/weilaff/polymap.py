@@ -21,6 +21,12 @@ builds each product of powers once, as its prefix times one power.  Each
 power is computed once per call, by repeated squaring, so a term of degree
 e costs O(log e) products.
 
+An expression tree lowers to a :class:`Poly` in :func:`expr_to_poly`, one
+left spine per loop: a spine of ``+`` and ``-`` is one weighted sum of its
+summands, and a spine of ``*`` and ``/`` by constants is one scale factor
+times one exponent vector.  So only factors of more than one term (sums and
+powers of sums) are multiplied as polynomials.
+
 Derivatives have one path, :func:`jet`: the Taylor coefficients of one
 evaluation at ``P + d``, ``d`` a fresh nilpotent block adjoined to the
 context of ``P``, for every map flavour and at any point, rational or not.
@@ -53,6 +59,23 @@ from .weil import sqrt as weil_sqrt
 
 class DimensionMismatchError(WeilError):
     """Raised when a map is applied to a point of the wrong dimension."""
+
+
+def _ratio(q) -> tuple:
+    """``(numerator, denominator)`` of an int or a Fraction."""
+    return (q if type(q) is int else _as_fraction(q)).as_integer_ratio()
+
+
+def _exponent(e) -> int:
+    if not isinstance(e, int) or e < 0:
+        raise WeilError("exponent must be a nonnegative integer")
+    return e
+
+
+def _index(i: int, nvars: int) -> int:
+    if not 0 <= i < nvars:
+        raise WeilError(f"variable index {i} out of range")
+    return i
 
 
 class Poly:
@@ -95,14 +118,12 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, q: Scalar) -> "Poly":
-        if type(q) is not int:
-            q = _as_fraction(q)
-        return cls._of(nvars, {(0,) * nvars: q.numerator} if q else {}, q.denominator)
+        p, d = _ratio(q)
+        return cls._of(nvars, {(0,) * nvars: p} if p else {}, d)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        if not 0 <= i < nvars:
-            raise WeilError(f"variable index {i} out of range")
+        i = _index(i, nvars)
         return cls._of(nvars, {(0,) * i + (1,) + (0,) * (nvars - 1 - i): 1}, 1)
 
     @property
@@ -174,10 +195,11 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise WeilError("exponent must be a nonnegative integer")
-        if not e:
+        if not _exponent(e):
             return Poly.constant(self.nvars, 1)
+        if len(self._num) == 1:  # one monomial, in lowest terms as its base is
+            (m, c), = self._num.items()
+            return Poly._of(self.nvars, {tuple(a * e for a in m): c**e}, self.den**e)
         # left to right over the bits below the leading one: a square for
         # each, and a product by the base for each set one
         result = self
@@ -392,35 +414,107 @@ def eval_expr(expr: Expr, coords: Sequence[WeilElement]) -> WeilElement:
 
 
 def expr_to_poly(expr: Expr, nvars: int) -> Optional[Poly]:
-    """Convert to a polynomial, or None if the tree genuinely needs Div/Sqrt."""
-    if isinstance(expr, Const):
-        return Poly.constant(nvars, expr.value)
-    if isinstance(expr, Var):
-        return Poly.variable(nvars, expr.index)
-    if isinstance(expr, _BINARY):
-        spine = []
-        while isinstance(expr, _BINARY):
-            spine.append(expr)
-            expr = expr.left
-        a = expr_to_poly(expr, nvars)
-        for node in reversed(spine):
-            b = expr_to_poly(node.right, nvars)
-            kind = type(node)
-            if a is None or b is None or kind is Div and not (b.is_constant() and b.constant_value()):
-                a = None
-            else:
-                a = (a + b if kind is Add else a - b if kind is Sub
-                     else a * b if kind is Mul else a * (1 / b.constant_value()))
-        return a
-    if isinstance(expr, Neg):
-        a = expr_to_poly(expr.operand, nvars)
-        return None if a is None else -a
-    if isinstance(expr, Power):
-        a = expr_to_poly(expr.base, nvars)
-        return None if a is None else a**expr.exponent
-    if isinstance(expr, Sqrt):
+    """Convert to a polynomial, or None if the tree genuinely needs Div/Sqrt.
+
+    Each left spine lowers in one loop, after all its operands, left to
+    right.  A spine of ``+`` and ``-`` is one ``_sum_scaled`` over its
+    summands.  A spine of ``*`` and ``/`` by constants is one scale factor
+    times one exponent vector, and only its factors of more than one term
+    (sums, powers of sums) are multiplied as polynomials."""
+    lowered = _lower(expr, nvars)
+    return None if lowered is None else _poly_of(nvars, *lowered)
+
+
+def _poly_of(nvars: int, p: int, d: int, num: dict) -> Poly:
+    if p != 1:
+        num = {m: c * p for m, c in num.items()} if p else {}
+    return Poly._of(nvars, *_lowest_terms(num, d))
+
+
+def _lower(expr: Expr, nvars: int) -> Optional[tuple]:
+    """``expr`` as ``(p, d, num)``: the nonzero integer numerators ``num``
+    times p / d, d > 0; or None.  Leaves and plain monomials build no Poly."""
+    kind = type(expr)
+    if kind is Const:
+        return (*_ratio(expr.value), {(0,) * nvars: 1})
+    if kind is Neg:
+        t = _lower(expr.operand, nvars)
+        return None if t is None else (-t[0], t[1], t[2])
+    if kind is Power and type(expr.base) is not Var:
+        t = _lower(expr.base, nvars)
+        if t is None:
+            return None
+        power = _poly_of(nvars, *t) ** expr.exponent
+        return 1, power.den, power._num
+    if kind is Sqrt:
         return None
-    raise WeilError(f"unknown expression node {type(expr).__name__}")
+    if kind is Add or kind is Sub:
+        summands = []  # (node, negated), the rightmost first
+        while type(expr) is Add or type(expr) is Sub:
+            summands.append((expr.right, type(expr) is Sub))
+            expr = expr.left
+        summands.append((expr, False))
+        scaled = [_lower(node, nvars) for node, _ in reversed(summands)]
+        if None in scaled:
+            return None
+        num, den = _sum_scaled([(-p, d, num) if minus else (p, d, num)
+                                for (p, d, num), (_, minus) in zip(scaled, reversed(summands))])
+        return 1, den, num
+    if kind is not Mul and kind is not Div and kind is not Var and kind is not Power:
+        raise WeilError(f"unknown expression node {kind.__name__}")
+    factors = []  # (node, divided), the rightmost first; x and x^e are one factor
+    while type(expr) is Mul or type(expr) is Div:
+        factors.append((expr.right, type(expr) is Div))
+        expr = expr.left
+    factors.append((expr, False))
+    p = d = 1
+    exps = [0] * nvars
+    several = []  # the factors of more than one term
+    none = False  # set once the product is no polynomial, but every factor is walked
+    for node, divide in reversed(factors):
+        kind = type(node)
+        if kind is Var or kind is Power and type(node.base) is Var:  # x or x^e, in place
+            i = _index((node if kind is Var else node.base).index, nvars)
+            e = 1 if kind is Var else _exponent(node.exponent)
+            exps[i] += e
+            none = none or divide and e > 0  # x^0 is the constant 1
+            continue
+        if kind is Const:
+            fp, fd = _ratio(node.value)
+        else:
+            t = _lower(node, nvars)
+            if t is None:
+                none = True
+                continue
+            if len(t[2]) > 1:
+                none = none or divide
+                several.append(t)
+                continue
+            fp, fd, num = t
+            for m, c in num.items():  # at most one term
+                fp *= c
+                if any(m):
+                    none = none or divide
+                    exps = list(map(_add, exps, m))
+            if not num:
+                fp = 0
+        if divide:  # by a constant: a nonzero one, or the product is no polynomial
+            if not fp:
+                none = True
+                continue
+            fp, fd = (fd, fp) if fp > 0 else (-fd, -fp)
+        p, d = p * fp, d * fd
+    if none:
+        return None
+    m = tuple(exps)
+    if not several:
+        return p, d, {m: 1}
+    product = _poly_of(nvars, *several[0])
+    for t in several[1:]:
+        product = product * _poly_of(nvars, *t)
+    if any(exps):
+        return p, d * product.den, {tuple(map(_add, k, m)): c for k, c in product._num.items()}
+    return p, d * product.den, product._num
 
 
 class ExprMap(Record):

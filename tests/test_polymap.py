@@ -176,11 +176,32 @@ def test_integer_poly_matches_the_fraction_oracle(data):
     assert (a == b) == (A == B)
 
 
+def _left_spine(first, rest):
+    """``first`` with each ``(node class, operand)`` of ``rest`` applied on
+    the right, as the parser builds a chain: ((a op b) op c) ..."""
+    for kind, operand in rest:
+        first = kind(first, operand)
+    return first
+
+
 def _exprs(n):
-    leaves = st.one_of(
-        st.builds(Const, st.fractions(min_value=-3, max_value=3, max_denominator=6)),
-        st.builds(Var, st.integers(0, n - 1)),
-    )
+    const = st.builds(Const, st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    var = st.builds(Var, st.integers(0, n - 1))
+    # the spines expr_to_poly lowers in one loop: monomials as * and / c
+    # chains with Neg and Var^e factors (a quotient by x^0 stays one, by x
+    # is none), long flat sums of them, and products of sums
+    factor = st.one_of(const, var, st.builds(Power, var, st.integers(0, 4)),
+                       st.builds(Neg, st.one_of(var, const)))
+    divisor = st.one_of(const, st.builds(Power, var, st.just(0)), var)
+    monomial = st.builds(_left_spine, factor, st.lists(st.one_of(
+        st.tuples(st.just(Mul), factor), st.tuples(st.just(Div), divisor)), max_size=4))
+    flat_sum = st.builds(_left_spine, monomial, st.lists(
+        st.tuples(st.sampled_from([Add, Sub]), monomial), max_size=20))
+    short_sum = st.builds(_left_spine, monomial, st.lists(
+        st.tuples(st.sampled_from([Add, Sub]), monomial), min_size=1, max_size=3))
+    product = st.builds(_left_spine, short_sum, st.lists(st.tuples(
+        st.sampled_from([Mul, Div]), st.one_of(short_sum, factor)), min_size=1, max_size=2))
+    leaves = st.one_of(const, var, monomial, flat_sum, product)
     return st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Add, kids, kids),
         st.builds(Sub, kids, kids),
@@ -189,7 +210,7 @@ def _exprs(n):
         st.builds(Neg, kids),
         st.builds(Power, kids, st.integers(0, 3)),
         st.builds(Sqrt, kids),
-    ), max_leaves=8)
+    ), max_leaves=5)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -210,6 +231,43 @@ def test_expr_to_poly_matches_the_fraction_oracle(data):
         assert got is None
     else:
         _assert_stored(got, want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_expansion_bounds_are_never_below_the_lowered_poly(data):
+    """The parser's budgets read bounds off the tree: no lowered polynomial
+    has more terms, or a numerator or denominator of more bits."""
+    from weilaff.dsl import _MAX_TERMS, _bits, _expansion_bounds
+
+    n = data.draw(st.integers(1, 3))
+    tree = data.draw(_exprs(n))
+    poly = expr_to_poly(tree, n)
+    if poly is not None:
+        terms, bits = _expansion_bounds(tree)
+        assert terms > _MAX_TERMS or len(poly._num) <= terms
+        assert all(_bits(c) <= bits for c in (poly.den, *poly._num.values()))
+
+
+def test_a_flat_sum_of_monomials_lowers_with_no_polynomial_product(monkeypatch):
+    """Each summand is one scale factor times one exponent vector, and the
+    sum is one weighted sum: Poly.__mul__ never runs."""
+    x, y, z = Var(0), Var(1), Var(2)
+    summands = [
+        Mul(Mul(Const(Fraction(3, 2)), x), Power(y, 2)),
+        Div(Mul(Neg(z), x), Const(-4)),
+        Mul(Power(x, 3), Power(Const(2), 5)),
+        Div(Div(y, Const(2)), Const(Fraction(1, 3))),
+        Neg(Mul(z, z)),
+        Const(7),
+    ]
+    tree = _left_spine(summands[0], [(Sub if i % 2 else Add, m) for i, m in enumerate(summands[1:])])
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    got = expr_to_poly(tree, 3)
+    assert calls == []
+    _assert_stored(got, expr_poly(tree, 3))
 
 
 def test_two_presentations_of_one_poly_are_equal_and_hash_equal():
@@ -589,3 +647,5 @@ def test_expr_to_poly_round_trip():
     p = expr_to_poly(node, 2)
     assert p is not None and p.terms == {(2, 0): Fraction(1), (0, 1): Fraction(1)}
     assert expr_to_poly(Sqrt(Var(0)), 1) is None
+    # a quotient by a zeroth power is one by the constant 1
+    assert expr_to_poly(Div(Mul(Const(2), Var(0)), Power(Var(1), 0)), 2) == 2 * Poly.variable(2, 0)

@@ -9,8 +9,9 @@ text exits 2 at the position of its first bad byte, and a point nested
 deeper than the interpreter's stack exits 2 at its statement.  A map body
 that chains 1,000 terms or factors evaluates to its value.  A value with
 more digits than CPython converts to a string by default is still reported
-in full.  A polynomial body whose expansion could pass the term budget
-exits 2 at its first token before anything is expanded.
+in full.  A polynomial body whose expansion could pass the term budget or
+the coefficient budget exits 2 at its first token before anything is
+expanded, and so does a constant over the coefficient budget.
 """
 
 import decimal
@@ -20,6 +21,7 @@ import random
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -161,12 +163,59 @@ def test_bodies_over_the_term_budget_are_a_positional_error(
         assert out.err == f"{path}:{position}: {expected}, found {found}\n"
 
 
+_BODY_BITS = "expected a body within the coefficient budget (20,000 bits when expanded)"
+_CONSTANT_BITS = "expected a constant within the coefficient budget (20,000 bits)"
+_LITERAL = "9" * 4300  # the longest integer a file may hold
+
+
+@pytest.mark.parametrize("text, position, expected, found", [
+    # 999 · 35 bits; before the budget this body built for 18 s
+    ("version 1\nmap f(x) -> 1 { (9999999999*x + 1)^999 }\n", "2:17", _BODY_BITS, "("),
+    ("connection g dim 1 { GAMMA[1][1,1] = (1073741824*x1 + 1)^999 }\n", "1:38", _BODY_BITS, "("),
+    ("quotient q vars 2 degcap 2 relations { (9999999999*q[1] + q[2])^999 }\n", "1:40",
+     _BODY_BITS, "("),
+    # a constant is bounded where it is read: a power of a literal, in a body,
+    # a point or a check vector ...
+    ("map f(x) -> 1 { x * 3^30000000 }\n", "1:21", _CONSTANT_BITS, "3"),
+    ("block d vars 1 cap 2\npoint O = (3^10000000,)\n", "2:12", _CONSTANT_BITS, "3"),
+    ("block d vars 1 cap 2\npoint O = ((2^4000)^4000 * d[1],)\n", "2:12", _CONSTANT_BITS, "("),
+    ("block d vars 1 cap 2\ncheck in-Dk ((d[1] / 2^30000,)) k=1\n", "2:22", _CONSTANT_BITS, "2"),
+    # ... and a product of literals, which the parser folds as it reads it
+    ("map f(x) -> 1 { " + " * ".join([_LITERAL] * 100) + " * x }\n", "1:17", _CONSTANT_BITS,
+     _LITERAL),
+], ids=["map", "gamma", "relation", "power-in-body", "point", "nested-power", "check-vector",
+        "literal-product"])
+def test_coefficients_over_the_bit_budget_are_a_positional_error(
+        text, position, expected, found, tmp_path, capsys):
+    path = tmp_path / "big.weil"
+    path.write_text(text)
+    for argv in (["check", str(path)], ["check", str(path), "--json"],
+                 ["eval", str(path), "--expr", "1"]):
+        start = time.perf_counter()
+        code = main(argv)
+        out = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out.out == ""
+        assert out.err == f"{path}:{position}: {expected}, found {found}\n"
+
+
+def test_eval_expr_bounds_its_constants_as_a_file_does(capsys):
+    quickstart = str(ROOT / "scenarios" / "quickstart.weil")
+    start = time.perf_counter()
+    assert main(["eval", quickstart, "--expr", "(1, 3^10000000)"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"1:5: {_CONSTANT_BITS}, found 3\n")
+
+
 @pytest.mark.parametrize("body, value", [
     (" + ".join(["x"] * 1000), "(1000 + 1000·d)"),
     (" * ".join(["x"] * 1000), "(1 + 1000·d + 499500·d^2)"),
     # a quotient by a variable keeps the body an expression tree
     ("(" + " + ".join(["x"] * 1000) + ") / x", "(1000)"),
-], ids=["sum", "product", "quotient"])
+    # 5,000 steps of * and / by constants: one scale factor times x
+    ("x" + " / 2" * 5000, f"({Fraction(1, 2**5000)} + {Fraction(1, 2**5000)}·d)"),
+    ("x" + " * 3 / 2" * 2500, f"({Fraction(3, 2)**2500} + {Fraction(3, 2)**2500}·d)"),
+], ids=["sum", "product", "quotient", "halving", "mixed"])
 def test_long_chain_in_a_map_body_evaluates(body, value, tmp_path, capsys):
     """A chain of binary operators leans left, and the walks from a map body
     to its polynomial or its value fold it in a loop."""
